@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from . import ideal as ideal_mod
 from . import perm, pipedream
 from .ideal import SquarefreeMonomialIdeal
-from .limits import size_guard
+from .limits import InvariantError, size_guard
 from .perm import Perm
 
 Cell = tuple[int, int]
@@ -75,9 +75,6 @@ class ExponentArray:
     def support(self) -> frozenset:
         return self._support
 
-    def total_degree(self) -> int:
-        return sum(sum(r) for r in self.rows)
-
     def column_sums(self) -> tuple[int, ...]:
         return tuple(sum(r[j] for r in self.rows) for j in range(self.n))
 
@@ -125,7 +122,7 @@ def _support_start_codon(i: int, w: Perm, support: frozenset, n: int) -> int:
     for p in range(1, n + 1):
         if not ideal_mod.monomial_in_ideal(support | {(i, p)}, jw):
             return p
-    raise AssertionError("z_{i,n} z^b is never in J_w")
+    raise InvariantError("z_{i,n} z^b lies in J_w for a standard z^b")
 
 
 def promoter_size(i: int, w: Perm, b: ExponentArray) -> int:
@@ -236,7 +233,8 @@ def intron_mutation(i: int, w: Perm, b: ExponentArray) -> ExponentArray:
     if not standard_test(b, w):
         raise ValueError("z^b must be standard for J_w")
     out = intron_mutation_at(i, start_codon(i, w, b), b)
-    assert standard_test(out, w)
+    if not standard_test(out, w):
+        raise InvariantError(f"intron mutation left the standard monomials of J_{w}")
     return out
 
 

@@ -15,10 +15,6 @@ from .perm import Perm
 from .poly import LaurentPoly, ONE, xvar, yvar
 
 
-def _parse(text: str) -> Perm:
-    return perm.validate(int(ch) for ch in text)
-
-
 def x_monomial(d: pipedream.PipeDream) -> LaurentPoly:
     exps: dict = {}
     for (i, _) in d.crosses:
@@ -47,7 +43,7 @@ S3_TABLE = {
 
 def schubert_table_s3() -> tuple[bool, str]:
     for text, expected in S3_TABLE.items():
-        if poly.poly_str(poly.schubert(_parse(text))) != expected:
+        if poly.poly_str(poly.schubert(perm.parse(text))) != expected:
             return False, f"schubert({text}) != {expected}"
     return True, "6 polynomials"
 
@@ -56,7 +52,7 @@ def schubert_table_s3() -> tuple[bool, str]:
 
 
 def intro_fixture() -> tuple[bool, str]:
-    w = _parse("2143")
+    w = perm.parse("2143")
     s = poly.schubert(w)
     if poly.poly_str(s) != "x1^2 + x1*x2 + x1*x3":
         return False, "schubert(2143)"
@@ -107,7 +103,7 @@ def theorem_b(n: int = 4) -> tuple[bool, str]:
     # negative control: the diagonal order does not see a Groebner basis
     gens = [
         grobner.minor_polynomial(m, 4)
-        for m in ideal.schubert_generators(_parse("2143"))
+        for m in ideal.schubert_generators(perm.parse("2143"))
     ]
     if grobner.is_groebner_basis(gens, grobner.diag_lex(4)):
         return False, "diagonal order accepted 2143 minors"
@@ -119,7 +115,7 @@ def theorem_b_slow() -> tuple[bool, str]:
         for order in (grobner.antidiag_revlex_nw(5), grobner.antidiag_lex_ne(5)):
             if not grobner.verify_theorem_b(w, order):
                 return False, f"{w} under {order.name}"
-    big = _parse("13865742")
+    big = perm.parse("13865742")
     minors = ideal.schubert_generators(big)
     if len(minors) != 165:
         return False, f"expected 165 minors, got {len(minors)}"
@@ -148,7 +144,7 @@ def prime_decomposition(n: int = 5) -> tuple[bool, str]:
 
 
 def pentagon_structure_1432() -> tuple[bool, str]:
-    w = _parse("1432")
+    w = perm.parse("1432")
     facets = ideal.stanley_reisner_facets(ideal.antidiagonal_ideal(w))
     if len(facets) != 5 or any(len(f) != 13 for f in facets):
         return False, "1432 facet shape"
@@ -223,7 +219,7 @@ def dd_identity(n: int = 4) -> tuple[bool, str]:
 
 def subword_checks(n: int = 4) -> tuple[bool, str]:
     cox4 = subword.symmetric_group(4)
-    pentagon = subword.subword_complex((3, 2, 3, 2, 3), _parse("1432"), cox4)
+    pentagon = subword.subword_complex((3, 2, 3, 2, 3), perm.parse("1432"), cox4)
     expected = frozenset(
         frozenset(e) for e in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
     )
@@ -351,7 +347,7 @@ FIG_MU_GENES = [
 
 
 def figure_mu() -> tuple[bool, str]:
-    w = _parse("13865742")
+    w = perm.parse("13865742")
     b = ExponentArray.from_rows(FIG_MU_START)
     if bruhatlab.start_codon(3, w, b) != 5:
         return False, "start codon"
@@ -409,7 +405,7 @@ def part3_suites() -> tuple[bool, str]:
 def mitosis_correspondence_13865742() -> tuple[bool, str]:
     """Blank-for-cross makeover of the mutation figure matches the mitosis
     offspring of the figure's pipe dream (above the antidiagonal)."""
-    w = _parse("13865742")
+    w = perm.parse("13865742")
     n = 8
     b = ExponentArray.from_rows(FIG_MU_START)
     chain = bruhatlab.lifted_demazure(3, w, b)

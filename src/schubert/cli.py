@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit status: 0 on success, 1 on verification failure, 2 on usage errors
-(unknown verb, malformed permutation, tripped size guard).
+Exit status: 0 on success, 1 on verification failure or a broken library
+invariant, 2 on usage errors (unknown verb, malformed permutation, tripped
+size guard).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 import time
 
 from . import checks, grobner, hilbert, ideal, perm, pipedream, poly, subword
-from .limits import SizeGuardError
+from .limits import InvariantError, SizeGuardError
 from .perm import Perm
 
 
@@ -21,33 +22,34 @@ class UsageError(Exception):
 
 
 def parse_permutation(text: str) -> Perm:
-    """Accept compact one-line form ("2143") or a JSON array ("[2,1,4,3]")."""
-    text = text.strip()
     try:
-        if text.startswith("["):
-            return perm.validate(json.loads(text))
-        if not text.isdigit():
-            raise ValueError(text)
-        return perm.validate(int(ch) for ch in text)
-    except (ValueError, json.JSONDecodeError):
-        raise UsageError(f"malformed permutation: {text!r}") from None
+        return perm.parse(text)
+    except ValueError:
+        raise UsageError(f"malformed permutation: {text.strip()!r}") from None
 
 
 def _emit_poly(f, as_json: bool) -> None:
     print(poly.poly_to_json(f) if as_json else poly.poly_str(f))
 
 
-def cmd_schubert(args) -> int:
-    w = parse_permutation(args.permutation)
-    f = poly.double_schubert(w) if args.double else poly.schubert(w)
-    _emit_poly(f, args.json)
-    return 0
+def _emit_dreams(dreams, args) -> None:
+    ordered = sorted(dreams, key=lambda d: d.sorted_crosses())
+    if args.json:
+        print(json.dumps([d.to_jsonable() for d in ordered]))
+        return
+    for d in ordered:
+        if args.render:
+            print(d.render())
+            print()
+        else:
+            print(d.to_json())
 
 
-def cmd_grothendieck(args) -> int:
+def cmd_family(args) -> int:
+    """The schubert and grothendieck verbs: one family, single or double."""
+    single, double = args.family
     w = parse_permutation(args.permutation)
-    f = poly.double_grothendieck(w) if args.double else poly.grothendieck(w)
-    _emit_poly(f, args.json)
+    _emit_poly(double(w) if args.double else single(w), args.json)
     return 0
 
 
@@ -56,33 +58,13 @@ def cmd_rp(args) -> int:
     dreams = (
         pipedream.rp_bruteforce(w) if args.method == "brute" else pipedream.rp_mitosis(w)
     )
-    ordered = sorted(dreams, key=lambda d: d.sorted_crosses())
-    if args.json:
-        print(json.dumps([d.to_jsonable() for d in ordered]))
-        return 0
-    for d in ordered:
-        if args.render:
-            print(d.render())
-            print()
-        else:
-            print(d.to_json())
+    _emit_dreams(dreams, args)
     return 0
 
 
 def cmd_mitosis(args) -> int:
     dream = pipedream.PipeDream.from_json(args.dream)
-    offspring = sorted(
-        pipedream.mitosis(args.row, dream), key=lambda d: d.sorted_crosses()
-    )
-    if args.json:
-        print(json.dumps([d.to_jsonable() for d in offspring]))
-        return 0
-    for d in offspring:
-        if args.render:
-            print(d.render())
-            print()
-        else:
-            print(d.to_json())
+    _emit_dreams(pipedream.mitosis(args.row, dream), args)
     return 0
 
 
@@ -154,7 +136,7 @@ def cmd_gb_verify(args) -> int:
 def cmd_kpoly(args) -> int:
     w = parse_permutation(args.permutation)
     k = hilbert.k_polynomial(ideal.antidiagonal_ideal(w), "zn2")
-    _emit_poly(hilbert.coarsen(k, "zn2", args.grading), args.json)
+    _emit_poly(hilbert.coarsen(k, args.grading), args.json)
     return 0
 
 
@@ -223,17 +205,17 @@ def build_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p = sub.add_parser("schubert", help="Schubert polynomial of a permutation")
-    p.add_argument("permutation")
-    p.add_argument("--double", action="store_true")
-    add_json(p)
-    p.set_defaults(func=cmd_schubert)
-
-    p = sub.add_parser("grothendieck", help="Grothendieck polynomial")
-    p.add_argument("permutation")
-    p.add_argument("--double", action="store_true")
-    add_json(p)
-    p.set_defaults(func=cmd_grothendieck)
+    for verb, help_text, family in (
+        ("schubert", "Schubert polynomial of a permutation",
+         (poly.schubert, poly.double_schubert)),
+        ("grothendieck", "Grothendieck polynomial",
+         (poly.grothendieck, poly.double_grothendieck)),
+    ):
+        p = sub.add_parser(verb, help=help_text)
+        p.add_argument("permutation")
+        p.add_argument("--double", action="store_true")
+        add_json(p)
+        p.set_defaults(func=cmd_family, family=family)
 
     p = sub.add_parser("rp", help="reduced pipe dreams")
     p.add_argument("permutation")
@@ -304,6 +286,9 @@ def main(argv=None) -> int:
     except (UsageError, SizeGuardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -78,10 +78,6 @@ TERM_ORDERS = {
 # -- monomial helpers ---------------------------------------------------------
 
 
-def mono_one(n: int) -> Mono:
-    return (0,) * (n * n)
-
-
 def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -109,13 +105,6 @@ def mono_cells(m: Mono, n: int) -> frozenset:
     return frozenset(
         (k // n + 1, k % n + 1) for k, e in enumerate(m) if e
     )
-
-
-def cells_mono(cells: Iterable[tuple[int, int]], n: int) -> Mono:
-    exps = [0] * (n * n)
-    for (i, j) in cells:
-        exps[_index(n, i, j)] += 1
-    return tuple(exps)
 
 
 # -- polynomials --------------------------------------------------------------
@@ -261,12 +250,9 @@ def buchberger(
 
 def initial_ideal(basis: Sequence[Poly], order: TermOrder) -> frozenset:
     """Minimal monomial generators of the ideal of initial terms."""
-    monos = {initial_term(g, order)[0] for g in basis}
-    kept = []
-    for m in sorted(monos, key=sum):
-        if not any(mono_divides(k, m) for k in kept):
-            kept.append(m)
-    return frozenset(kept)
+    return ideal_mod.minimalize(
+        (initial_term(g, order)[0] for g in basis), mono_divides, sum
+    )
 
 
 def verify_theorem_b(w: Perm, order: TermOrder, max_n: int = 5) -> bool:

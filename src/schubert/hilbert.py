@@ -2,8 +2,10 @@
 the four gradings, grading coarsening, and the Schubert identity checks.
 
 Grading tags (the CLI spelling): "zn2" is the finest grading (weight of z_ij
-is z_ij itself), then "z2n" (x_i/y_j), "zn" (x_i), and "z" (t).  Exponential
-weights drive K-polynomials, ordinary weights drive multidegrees.
+is z_ij itself), then "z2n" (x_i/y_j), "zn" (x_i), and "z" (t).  exp_weight
+is the one table of weights: exponential weights drive K-polynomials, and
+the ordinary weight of z_ij is the linear form read off its exponential
+weight, which drives multidegrees.
 
 K-polynomials come from the pivot recursion
 
@@ -12,11 +14,15 @@ K-polynomials come from the pivot recursion
 pivoting on the variable most frequent among the generators; the base case,
 an ideal generated by powers of distinct variables, is the Koszul product
 prod (1 - wt(v)^e).
+
+Coarsening is one substitution out of the finest grading: a zn2 K-polynomial
+or multidegree specialises to any grading by sending each z_ij to its
+exponential or ordinary weight there.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import ideal as ideal_mod
 from . import perm, poly
@@ -47,17 +53,8 @@ def exp_weight(grading: str, cell: Cell) -> dict:
 
 
 def ord_weight(grading: str, cell: Cell) -> LaurentPoly:
-    """Ordinary weight of z_cell as a linear form."""
-    i, j = cell
-    if grading == "zn2":
-        return LaurentPoly.variable(zvar(i, j))
-    if grading == "z2n":
-        return LaurentPoly.variable(xvar(i)) - LaurentPoly.variable(yvar(j))
-    if grading == "zn":
-        return LaurentPoly.variable(xvar(i))
-    if grading == "z":
-        return LaurentPoly.variable(TVAR)
-    raise ValueError(f"unknown grading {grading!r}")
+    """Ordinary weight of z_cell: the linear form sum e*v over exp_weight."""
+    return LaurentPoly({((v, 1),): e for v, e in exp_weight(grading, cell).items()})
 
 
 def _gen_mono(pairs: Iterable[tuple[Cell, int]]) -> GenMono:
@@ -69,13 +66,8 @@ def _gen_divides(a: GenMono, b: GenMono) -> bool:
     return all(bd.get(c, 0) >= e for c, e in a)
 
 
-def _minimalize_gens(gens: Iterable[GenMono]) -> frozenset:
-    pool = sorted(set(gens), key=lambda g: sum(e for _, e in g))
-    kept: list[GenMono] = []
-    for g in pool:
-        if not any(_gen_divides(k, g) for k in kept):
-            kept.append(g)
-    return frozenset(kept)
+def _gen_degree(g: GenMono) -> int:
+    return sum(e for _, e in g)
 
 
 _K_CACHE: dict = {}
@@ -103,9 +95,13 @@ def _k_of_gens(gens: frozenset, grading: str) -> LaurentPoly:
             for cell, _ in g:
                 counts[cell] = counts.get(cell, 0) + 1
         pivot = min(counts, key=lambda c: (-counts[c], c))
-        plus = _minimalize_gens(set(gens) | {_gen_mono([(pivot, 1)])})
-        colon = _minimalize_gens(
-            _gen_mono([(c, e - 1 if c == pivot else e) for c, e in g]) for g in gens
+        plus = ideal_mod.minimalize(
+            set(gens) | {_gen_mono([(pivot, 1)])}, _gen_divides, _gen_degree
+        )
+        colon = ideal_mod.minimalize(
+            (_gen_mono([(c, e - 1 if c == pivot else e) for c, e in g]) for g in gens),
+            _gen_divides,
+            _gen_degree,
         )
         result = _k_of_gens(plus, grading) + LaurentPoly.monomial(
             exp_weight(grading, pivot)
@@ -127,56 +123,24 @@ def k_polynomial(ideal, grading: str = "zn2") -> LaurentPoly:
         gens = frozenset(_gen_mono((c, 1) for c in g) for g in ideal.generators)
     else:
         gens = frozenset(_gen_mono(dict(g).items()) for g in ideal)
-    return _k_of_gens(_minimalize_gens(gens), grading)
+    return _k_of_gens(ideal_mod.minimalize(gens, _gen_divides, _gen_degree), grading)
 
 
-def coarsen(k: LaurentPoly, frm: str, to: str) -> LaurentPoly:
-    """Specialize a K-polynomial along the chain zn2 -> z2n -> zn -> z."""
-    fi, ti = _chain_positions(frm, to)
-    out = k
-    for step in range(fi, ti):
-        src = GRADINGS[step]
-        if src == "zn2":
-            mapping = {
-                v: {xvar(v[1]): 1, yvar(v[2]): -1}
-                for v in out.variables()
-                if v[0] == "z"
-            }
-        elif src == "z2n":
-            mapping = {v: {} for v in out.variables() if v[0] == "y"}
-        else:  # zn -> z
-            mapping = {v: {TVAR: 1} for v in out.variables() if v[0] == "x"}
-        out = out.subs_monomial(mapping)
-    return out
+def _z_weights(f: LaurentPoly, to: str, weight: Callable) -> dict:
+    """Map each z_ij of f to its weight in the grading ``to``."""
+    if to not in GRADINGS:
+        raise ValueError(f"unknown grading {to!r}")
+    return {v: weight(to, v[1:]) for v in f.variables() if v[0] == "z"}
 
 
-def coarsen_multidegree(c: LaurentPoly, frm: str, to: str) -> LaurentPoly:
-    """Specialize a multidegree along the chain of ordinary weights."""
-    fi, ti = _chain_positions(frm, to)
-    out = c
-    for step in range(fi, ti):
-        src = GRADINGS[step]
-        if src == "zn2":
-            mapping = {
-                v: LaurentPoly.variable(xvar(v[1])) - LaurentPoly.variable(yvar(v[2]))
-                for v in out.variables()
-                if v[0] == "z"
-            }
-        elif src == "z2n":
-            mapping = {v: poly.ZERO for v in out.variables() if v[0] == "y"}
-        else:
-            mapping = {v: LaurentPoly.variable(TVAR) for v in out.variables() if v[0] == "x"}
-        out = out.subs_poly(mapping)
-    return out
+def coarsen(k: LaurentPoly, to: str) -> LaurentPoly:
+    """Specialise a zn2 K-polynomial to the grading ``to``."""
+    return k.subs_monomial(_z_weights(k, to, exp_weight))
 
 
-def _chain_positions(frm: str, to: str) -> tuple[int, int]:
-    if frm not in GRADINGS or to not in GRADINGS:
-        raise ValueError(f"unknown grading in {frm!r} -> {to!r}")
-    fi, ti = GRADINGS.index(frm), GRADINGS.index(to)
-    if fi > ti:
-        raise ValueError(f"illegal coarsening {frm!r} -> {to!r}")
-    return fi, ti
+def coarsen_multidegree(c: LaurentPoly, to: str) -> LaurentPoly:
+    """Specialise a zn2 multidegree to the grading ``to``."""
+    return c.subs_poly(_z_weights(c, to, ord_weight))
 
 
 def multidegree(k: LaurentPoly, grading: str, codim: int | None = None) -> LaurentPoly:
@@ -186,9 +150,7 @@ def multidegree(k: LaurentPoly, grading: str, codim: int | None = None) -> Laure
     grading the y block is Laurent, so the substitution expands as a series
     truncated at total degree codim + 1; ``codim`` is required there.
     """
-    if grading not in GRADINGS:
-        raise ValueError(f"unknown grading {grading!r}")
-    blocks = {"zn2": ("z",), "z2n": ("x", "y"), "zn": ("x",), "z": ("t",)}[grading]
+    blocks = {v[0] for v in exp_weight(grading, (1, 1))}
     if k.has_negative_exponent(blocks):
         if codim is None:
             raise ValueError("Laurent K-polynomial needs a codimension bound")
@@ -207,7 +169,7 @@ def multidegree_of_ideal(ideal, grading: str = "zn") -> LaurentPoly:
     coarsening map on multidegrees substitutes ordinary weights.
     """
     fine = multidegree(k_polynomial(ideal, "zn2"), "zn2")
-    return coarsen_multidegree(fine, "zn2", grading)
+    return coarsen_multidegree(fine, grading)
 
 
 def multidegree_additive(
@@ -231,14 +193,14 @@ def theorem_a_check(w: Perm) -> bool:
     size_guard(len(w), 5, "theorem_a_check")
     jw = ideal_mod.antidiagonal_ideal(w)
     k_fine = k_polynomial(jw, "zn2")
-    if coarsen(k_fine, "zn2", "zn") != poly.grothendieck(w):
+    if coarsen(k_fine, "zn") != poly.grothendieck(w):
         return False
-    if coarsen(k_fine, "zn2", "z2n") != poly.double_grothendieck(w):
+    if coarsen(k_fine, "z2n") != poly.double_grothendieck(w):
         return False
     fine = multidegree(k_fine, "zn2")
-    if coarsen_multidegree(fine, "zn2", "zn") != poly.schubert(w):
+    if coarsen_multidegree(fine, "zn") != poly.schubert(w):
         return False
-    return coarsen_multidegree(fine, "zn2", "z2n") == poly.double_schubert(w)
+    return coarsen_multidegree(fine, "z2n") == poly.double_schubert(w)
 
 
 def divided_difference_identity_check(w: Perm, i: int) -> bool:

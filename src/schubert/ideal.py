@@ -8,9 +8,10 @@ frozensets of grid cells (i, j), 1-based.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import perm, pipedream
 from .limits import size_guard
@@ -105,12 +106,18 @@ def schubert_generators(w: Perm, pruned: bool = True) -> frozenset:
     return frozenset(out)
 
 
-def minimalize(sets: Iterable[frozenset]) -> frozenset:
-    """Inclusion-minimal members of a family of sets."""
-    pool = sorted(set(sets), key=len)
-    kept: list[frozenset] = []
-    for s in pool:
-        if not any(k <= s for k in kept):
+def minimalize(
+    items: Iterable, below: Callable = operator.le, size: Callable = len
+) -> frozenset:
+    """Minimal members of a finite family under the partial order ``below``.
+
+    ``size`` must strictly increase along the order (below(a, b) with a != b
+    gives size(a) < size(b)), so one pass in size order keeps exactly the
+    minimal members.  The defaults give the inclusion-minimal sets.
+    """
+    kept: list = []
+    for s in sorted(set(items), key=size):
+        if not any(below(k, s) for k in kept):
             kept.append(s)
     return frozenset(kept)
 

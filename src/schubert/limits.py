@@ -16,6 +16,14 @@ class SizeGuardError(ValueError):
     """Raised when an input exceeds an operation's size cap."""
 
 
+class InvariantError(Exception):
+    """Raised when a property the theory guarantees fails to hold.
+
+    That is a defect in the library, not bad input, so it is deliberately
+    not a ValueError.
+    """
+
+
 def size_guard(n: int, default_cap: int, operation: str) -> None:
     cap = default_cap
     env = os.environ.get(ENV_VAR)

@@ -8,6 +8,7 @@ is the image w(i).  Positions, rows, columns, and reflection indices are all
 from __future__ import annotations
 
 import itertools
+import json
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -19,6 +20,22 @@ def validate(w: Sequence[int]) -> Perm:
     if sorted(t) != list(range(1, len(t) + 1)):
         raise ValueError(f"not a permutation of 1..{len(t)}: {t!r}")
     return t
+
+
+def parse(text: str) -> Perm:
+    """Read compact one-line form ("2143") or a JSON array ("[2,1,4,3]").
+
+    Raises ValueError on anything else.
+    """
+    text = text.strip()
+    if text.startswith("["):
+        values = json.loads(text)  # JSONDecodeError is a ValueError
+        if not all(type(v) is int for v in values):
+            raise ValueError(f"non-integer entry in {text!r}")
+        return validate(values)
+    if not text.isdigit():
+        raise ValueError(f"malformed permutation: {text!r}")
+    return validate(int(ch) for ch in text)
 
 
 def identity(n: int) -> Perm:

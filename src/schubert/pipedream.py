@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import perm
-from .limits import size_guard
+from .limits import InvariantError, size_guard
 from .perm import Perm
 
 Cell = tuple[int, int]
@@ -160,7 +160,7 @@ def top_pipe_dream(w: Perm) -> PipeDream:
     cross due north of it.
 
     Built column by column: column j holds code(w^-1)_j crosses in rows
-    1..code_j.  The defining properties are asserted after construction.
+    1..code_j.  The defining properties are checked after construction.
     """
     w = perm.validate(w)
     code = perm.lehmer_code(perm.inverse(w))
@@ -168,8 +168,10 @@ def top_pipe_dream(w: Perm) -> PipeDream:
         (i, j) for j, c in enumerate(code, start=1) for i in range(1, c + 1)
     }
     d = PipeDream(len(w), frozenset(crosses))
-    assert permutation_of(d) == w and is_reduced(d)
-    assert all(i == 1 or (i - 1, j) in d.crosses for (i, j) in d.crosses)
+    if not (permutation_of(d) == w and is_reduced(d)):
+        raise InvariantError(f"top pipe dream of {w} is not in RP({w})")
+    if not all(i == 1 or (i - 1, j) in d.crosses for (i, j) in d.crosses):
+        raise InvariantError(f"top pipe dream of {w} has a cross with no cross north")
     return d
 
 
@@ -181,7 +183,8 @@ def rp_mitosis(w: Perm) -> frozenset:
         offspring = [mitosis(i, d) for d in dreams]
         union = frozenset().union(*offspring) if offspring else frozenset()
         # Theorem: the union is disjoint; each dream arises exactly once.
-        assert len(union) == sum(len(s) for s in offspring)
+        if len(union) != sum(len(s) for s in offspring):
+            raise InvariantError(f"mitosis offspring overlap at row {i} for {w}")
         dreams = union
     return dreams
 

@@ -58,6 +58,12 @@ def _mono_degree(mono: Monomial) -> int:
     return sum(e for _, e in mono)
 
 
+def _add_into(out: dict, f: "LaurentPoly") -> None:
+    """Accumulate the terms of f into the term dict out (zeros may remain)."""
+    for m, c in f.terms.items():
+        out[m] = out.get(m, 0) + c
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial with integer coefficients."""
 
@@ -90,8 +96,7 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
+        _add_into(out, other)
         return LaurentPoly(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -203,7 +208,7 @@ class LaurentPoly:
 
         Mapped variables must appear with nonnegative exponents.
         """
-        out = ZERO
+        out: dict[Monomial, int] = {}
         for m, c in self.terms.items():
             acc = LaurentPoly.const(c)
             residual: dict[Var, int] = {}
@@ -216,8 +221,8 @@ class LaurentPoly:
                     acc = acc * (mapping[v] ** e)
                 else:
                     residual[v] = e
-            out = out + acc * LaurentPoly.monomial(residual)
-        return out
+            _add_into(out, acc * LaurentPoly.monomial(residual))
+        return LaurentPoly(out)
 
 
 ZERO = LaurentPoly.zero()
@@ -268,7 +273,7 @@ def one_minus_substitute(
     truncation ``bound``; without one, Laurent input is an error.
     """
     blocks = set(blocks)
-    out = ZERO
+    out: dict[Monomial, int] = {}
     for m, c in f.terms.items():
         factors = []
         residual: dict[Var, int] = {}
@@ -280,8 +285,8 @@ def one_minus_substitute(
         acc = LaurentPoly.monomial(residual, c)
         for fac in factors:
             acc = _mul_truncated(acc, fac, bound)
-        out = out + acc
-    return out
+        _add_into(out, acc)
+    return LaurentPoly(out)
 
 
 def _one_minus_power(v: Var, e: int, bound: int | None) -> LaurentPoly:

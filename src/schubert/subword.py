@@ -14,10 +14,13 @@ is the one instantiation used here.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from . import ideal as ideal_mod
 from . import perm
+from .limits import InvariantError
 from .perm import Perm
 
 
@@ -145,15 +148,6 @@ def subword_complex(word: Sequence[int], pi, cox: CoxeterSystem) -> SubwordCompl
 # -- generic facet-set operations --------------------------------------------
 
 
-def _maximal(sets: Iterable[frozenset]) -> frozenset:
-    pool = sorted(set(sets), key=len, reverse=True)
-    kept: list[frozenset] = []
-    for s in pool:
-        if not any(s <= k for k in kept):
-            kept.append(s)
-    return frozenset(kept)
-
-
 def _check_face(face: frozenset, facets: frozenset) -> None:
     if not any(face <= f for f in facets):
         raise ValueError(f"{sorted(face)} is not a face")
@@ -163,14 +157,18 @@ def deletion(face: Iterable[int], facets: frozenset) -> frozenset:
     """Facets of del(F): maximal sets among facet - F."""
     face = frozenset(face)
     _check_face(face, facets)
-    return _maximal(f - face for f in facets)
+    return ideal_mod.minimalize(
+        (f - face for f in facets), operator.ge, lambda s: -len(s)
+    )
 
 
 def link(face: Iterable[int], facets: frozenset) -> frozenset:
     """Facets of link(F): maximal sets among facet - F over facets containing F."""
     face = frozenset(face)
     _check_face(face, facets)
-    return _maximal(f - face for f in facets if face <= f)
+    return ideal_mod.minimalize(
+        (f - face for f in facets if face <= f), operator.ge, lambda s: -len(s)
+    )
 
 
 # -- vertex decomposition ------------------------------------------------------
@@ -192,13 +190,14 @@ def vertex_decompose(delta: SubwordComplex) -> object:
     """Decomposition tree along the first letter, per the subword recursion:
     link drops the letter, deletion shortens pi when the letter is a descent.
 
-    Replaying the tree must reproduce the facet set; that is asserted here.
+    Replaying the tree must reproduce the facet set; InvariantError if not.
     """
     if delta.is_void():
         raise ValueError("cannot decompose the void complex")
     cox = delta.cox
     tree = _decompose(delta.word, delta.pi, tuple(range(len(delta.word))), cox)
-    assert replay(tree) == delta.facets
+    if replay(tree) != delta.facets:
+        raise InvariantError("decomposition tree does not replay to the facets")
     return tree
 
 

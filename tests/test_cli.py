@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from schubert import cli
 
 
@@ -94,6 +96,32 @@ def test_multidegree_verb(capsys):
     assert out.strip() == "x1^2 + x1*x2 + x1*x3"
 
 
+KPOLY_2143 = {
+    "zn2": "z11*z13*z22*z31 - z13*z22*z31 - z11 + 1",
+    "z2n": "1 + x1^2*x2*x3*y1^-2*y2^-1*y3^-1 - x1*x2*x3*y1^-1*y2^-1*y3^-1 - x1*y1^-1",
+    "zn": "x1^2*x2*x3 - x1*x2*x3 - x1 + 1",
+    "z": "t^4 - t^3 - t + 1",
+}
+
+MULTIDEGREE_2143 = {
+    "zn2": "z11*z13 + z11*z22 + z11*z31",
+    "z2n": "x1^2 + x1*x2 + x1*x3 - 2*x1*y1 - x1*y2 - x1*y3 - x2*y1 - x3*y1"
+    " + y1^2 + y1*y2 + y1*y3",
+    "zn": "x1^2 + x1*x2 + x1*x3",
+    "z": "3*t^2",
+}
+
+
+@pytest.mark.parametrize("grading", sorted(KPOLY_2143))
+def test_kpoly_and_multidegree_2143_every_grading(capsys, grading):
+    code, out, _ = run(capsys, "kpoly", "2143", "--grading", grading)
+    assert code == 0
+    assert out == KPOLY_2143[grading] + "\n"
+    code, out, _ = run(capsys, "multidegree", "2143", "--grading", grading)
+    assert code == 0
+    assert out == MULTIDEGREE_2143[grading] + "\n"
+
+
 def test_subword_verb(capsys):
     code, out, _ = run(capsys, "subword", "--word", "3,2,3,2,3", "--perm", "1432", "--json")
     assert code == 0
@@ -115,8 +143,10 @@ def test_malformed_permutation_is_usage_error(capsys):
     code, _, err = run(capsys, "schubert", "21x3")
     assert code == 2
     assert "malformed permutation" in err
-    code, _, _ = run(capsys, "schubert", "2140")
-    assert code == 2
+    for bad in ("2140", "[2,1", '[1,"a"]'):
+        code, _, err = run(capsys, "schubert", bad)
+        assert code == 2
+        assert err.startswith("error: malformed permutation")
 
 
 def test_unknown_verb_is_usage_error(capsys):

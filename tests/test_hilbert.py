@@ -43,17 +43,20 @@ def test_k_polynomial_evaluates_to_euler_characteristic():
 def test_coarsen_chain():
     j = two_by_two_diag_ideal()
     fine = hilbert.k_polynomial(j, "zn2")
-    for target in ("z2n", "zn", "z"):
-        assert hilbert.coarsen(fine, "zn2", target) == hilbert.k_polynomial(j, target)
+    for target in hilbert.GRADINGS:
+        assert hilbert.coarsen(fine, target) == hilbert.k_polynomial(j, target)
     with pytest.raises(ValueError):
-        hilbert.coarsen(fine, "zn", "zn2")
+        hilbert.coarsen(fine, "zn3")
+    with pytest.raises(ValueError):
+        hilbert.coarsen_multidegree(hilbert.multidegree(fine, "zn2"), "zn3")
 
 
 def test_coarsen_agrees_with_direct_computation_s4():
     for w in perm.all_perms(4):
         jw = ideal.antidiagonal_ideal(w)
         fine = hilbert.k_polynomial(jw, "zn2")
-        assert hilbert.coarsen(fine, "zn2", "zn") == hilbert.k_polynomial(jw, "zn")
+        for grading in hilbert.GRADINGS:
+            assert hilbert.coarsen(fine, grading) == hilbert.k_polynomial(jw, grading)
 
 
 def test_multidegree_subspace_example():
@@ -81,6 +84,18 @@ def test_truncated_and_polynomial_routes_agree_on_jw():
         k = hilbert.k_polynomial(jw, "z2n")
         truncated = hilbert.multidegree(k, "z2n", codim=perm.length(w))
         assert truncated == hilbert.multidegree_of_ideal(jw, "z2n")
+
+
+def test_coarsened_multidegree_matches_direct_route_s4():
+    # the direct route computes K in each grading and expands K(1 - t) there
+    # (as a truncated series in z2n), never substituting z_ij by a weight
+    for w in perm.all_perms(4):
+        jw = ideal.antidiagonal_ideal(w)
+        for grading in hilbert.GRADINGS:
+            direct = hilbert.multidegree(
+                hilbert.k_polynomial(jw, grading), grading, codim=perm.length(w)
+            )
+            assert direct == hilbert.multidegree_of_ideal(jw, grading)
 
 
 def test_multidegree_of_j2143():
@@ -130,9 +145,7 @@ def test_theorem_a_s4():
 
 def test_theorem_a_w0_koszul():
     w0 = perm.long_element(4)
-    k = hilbert.coarsen(
-        hilbert.k_polynomial(ideal.antidiagonal_ideal(w0), "zn2"), "zn2", "zn"
-    )
+    k = hilbert.coarsen(hilbert.k_polynomial(ideal.antidiagonal_ideal(w0), "zn2"), "zn")
     assert k == poly.grothendieck_top(4)
 
 

@@ -27,6 +27,16 @@ def test_validate_rejects_non_permutations():
         raise AssertionError(f"{bad} accepted")
 
 
+def test_parse_forms():
+    assert perm.parse("2143") == perm.parse(" [2, 1, 4, 3] ") == (2, 1, 4, 3)
+    for bad in ["21x3", "2140", "[2,1", '[1,"a"]', "[[1]]", "[1.0]", ""]:
+        try:
+            perm.parse(bad)
+        except ValueError:
+            continue
+        raise AssertionError(f"{bad!r} accepted")
+
+
 def test_rank_matrix_2143():
     r = perm.rank_matrix((2, 1, 4, 3))
     assert r[0][0] == 0  # upper-left entry of X_2143 is zero
