@@ -111,9 +111,10 @@ def theorem_b(n: int = 4) -> tuple[bool, str]:
 
 
 def theorem_b_slow() -> tuple[bool, str]:
-    for w in perm.all_perms(5):
-        for order in (grobner.antidiag_revlex_nw(5), grobner.antidiag_lex_ne(5)):
-            if not grobner.verify_theorem_b(w, order):
+    orders = (grobner.antidiag_revlex_nw(6), grobner.antidiag_lex_ne(6))
+    for w in perm.all_perms(6):
+        for order in orders:
+            if not grobner.verify_theorem_b(w, order, max_n=6):
                 return False, f"{w} under {order.name}"
     big = perm.parse("13865742")
     minors = ideal.schubert_generators(big)
@@ -122,7 +123,7 @@ def theorem_b_slow() -> tuple[bool, str]:
     for order in (grobner.antidiag_revlex_nw(8), grobner.antidiag_lex_ne(8)):
         if not grobner.verify_theorem_b(big, order, max_n=8):
             return False, f"13865742 under {order.name}"
-    return True, "S5 + the 165-minor instance"
+    return True, "S6 + the 165-minor instance"
 
 
 # -- criterion 5: prime decomposition and purity -----------------------------------

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit status: 0 on success, 1 on verification failure or a broken library
-invariant, 2 on usage errors (unknown verb, malformed permutation, tripped
-size guard).
+Exit status: 0 on success, 1 on verification failure, a broken library
+invariant or a Groebner reduction past its coefficient bound, 2 on usage
+errors (unknown verb, malformed permutation or pipe dream, tripped size
+guard).
 """
 
 from __future__ import annotations
@@ -62,8 +63,18 @@ def cmd_rp(args) -> int:
     return 0
 
 
+def parse_dream(text: str) -> pipedream.PipeDream:
+    try:
+        return pipedream.PipeDream.from_json(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        # JSON of the wrong shape: a missing key, a list for an object, ...
+        raise UsageError(
+            f"malformed pipe dream: {text.strip()!r} ({type(exc).__name__}: {exc})"
+        ) from None
+
+
 def cmd_mitosis(args) -> int:
-    dream = pipedream.PipeDream.from_json(args.dream)
+    dream = parse_dream(args.dream)
     _emit_dreams(pipedream.mitosis(args.row, dream), args)
     return 0
 
@@ -268,7 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-all", help="run the verification suite")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--slow", action="store_true", help="include the S5 sweeps")
+    p.add_argument(
+        "--slow", action="store_true",
+        help="include the slow sweep: Theorem B on all of S6 and the 165-minor instance",
+    )
     add_json(p)
     p.set_defaults(func=cmd_check_all)
 
@@ -286,7 +300,7 @@ def main(argv=None) -> int:
     except (UsageError, SizeGuardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvariantError as exc:
+    except (InvariantError, grobner.CoefficientBlowup) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

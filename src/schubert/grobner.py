@@ -1,15 +1,44 @@
 """A small exact Buchberger engine over Z[z11..znn], sized for desk-scale
 verification of the antidiagonal Groebner-basis statement.
 
-Monomials are exponent tuples of length n*n in row-major order; polynomials
-are dicts monomial -> int.  All division steps stay integral because the
-Schubert minors have leading coefficients +-1; reductions by later basis
-elements use lcm scaling with content removal, which keeps everything exact.
+At the public boundary monomials are exponent tuples of length n*n in
+row-major order and polynomials are dicts monomial -> int.  All division
+steps stay integral because the Schubert minors have leading coefficients
++-1; reductions by later basis elements use lcm scaling with content
+removal, which keeps everything exact.
+
+Every term order here is a matrix order: ``TermOrder.key`` sends an exponent
+vector linearly to an integer tuple.  Packed into one integer (signed digits
+in a base large enough for the exponents allowed), the key of a monomial
+is the dot product of its exponents with one weight per variable, so one
+integer comparison decides the order and the key of a product is the sum of
+the keys.  Inside one call, a ``_Basis`` stores each term of each polynomial
+as (packed key, packed exponents, coefficient), the exponents in 16-bit
+fields whose top bit catches a borrow, so a product is two integer
+additions and a divisibility test is one subtraction and one mask.  Each
+basis element's leading term is found once, when the element is added, and
+each monomial met is packed once.
+
+The pair loop shared by ``is_groebner_basis`` and ``buchberger`` skips two
+kinds of S-pair whose reduction cannot change the answer (B. Buchberger, A
+criterion for detecting unnecessary reductions in the construction of
+Groebner bases, EUROSAM 1979; R. Gebauer and H. M. Moeller, On an
+installation of Buchberger's algorithm, J. Symbolic Comput. 6 (1988)):
+
+- the product criterion: a pair whose leading monomials are coprime;
+- the chain criterion, in the form of Cox, Little and O'Shea (Ideals,
+  Varieties, and Algorithms, ch. 2, "Improvements on Buchberger's
+  algorithm"): a pair (a, b) for which some c has lm(c) | lcm(lm a, lm b)
+  and both pairs (a, c) and (b, c) are already taken.  Its S-polynomial then
+  has a standard representation built from those of (a, c) and (b, c), which
+  holds whatever order the pairs are taken in.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterable, Sequence
@@ -23,6 +52,12 @@ from .perm import Perm
 Mono = tuple[int, ...]
 Poly = dict[Mono, int]
 
+# Packed exponents use _FIELD bits per variable; exponents stay below
+# _EXP_LIMIT so that the top bit of each field is free to catch a borrow.
+_FIELD = 16
+_EXP_LIMIT = 1 << (_FIELD - 1)
+_FIELD_MASK = (1 << _FIELD) - 1
+
 
 class CoefficientBlowup(ArithmeticError):
     """Raised when reduction coefficients pass the configured bound."""
@@ -30,10 +65,29 @@ class CoefficientBlowup(ArithmeticError):
 
 @dataclass(frozen=True)
 class TermOrder:
+    """A matrix order: ``key`` maps an exponent vector linearly to an integer
+    tuple, compared lexicographically.  ``weights`` packs key(unit vector of
+    each variable) into one integer, so that sum(e * w) over a monomial's
+    exponents compares as its key does while every exponent is below
+    _EXP_LIMIT."""
+
     name: str
     n: int
     antidiagonal: bool
     key: Callable = field(compare=False)
+    weights: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        nvars = self.n * self.n
+        columns = [self.key((0,) * v + (1,) + (0,) * (nvars - 1 - v)) for v in range(nvars)]
+        # each key entry of a monomial is below `bound` in absolute value, so
+        # signed digits in a base above 4 * bound compare lexicographically
+        bound = _EXP_LIMIT * sum(abs(d) for c in columns for d in c)
+        bits = (4 * bound).bit_length()
+        weights = tuple(
+            sum(d << (bits * (len(c) - 1 - i)) for i, d in enumerate(c) if d) for c in columns
+        )
+        object.__setattr__(self, "weights", weights)
 
 
 def _index(n: int, i: int, j: int) -> int:
@@ -44,7 +98,7 @@ def antidiag_revlex_nw(n: int) -> TermOrder:
     """Graded reverse lexicographic, variables z11 > z12 > ... > znn."""
 
     def key(m: Mono):
-        return (sum(m), tuple(-e for e in reversed(m)))
+        return (sum(m), *(-e for e in reversed(m)))
 
     return TermOrder("antidiag-revlex", n, True, key)
 
@@ -78,27 +132,17 @@ TERM_ORDERS = {
 # -- monomial helpers ---------------------------------------------------------
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a: Mono, b: Mono) -> Mono:
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in out):
-        raise ValueError("monomial does not divide")
-    return out
-
-
 def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_coprime(a: Mono, b: Mono) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    # exponents are nonnegative, so a product is zero exactly where one is
+    return not any(map(operator.mul, a, b))
 
 
 def mono_cells(m: Mono, n: int) -> frozenset:
@@ -139,120 +183,243 @@ def initial_term(f: Poly, order: TermOrder) -> tuple[Mono, int]:
     return m, f[m]
 
 
-def poly_scale(f: Poly, c: int) -> Poly:
-    return {m: co * c for m, co in f.items()}
-
-
-def poly_sub(f: Poly, g: Poly) -> Poly:
-    out = dict(f)
-    for m, c in g.items():
-        v = out.get(m, 0) - c
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
-
-
-def poly_term_mul(f: Poly, m: Mono, c: int) -> Poly:
-    return {mono_mul(m2, m): c2 * c for m2, c2 in f.items()}
+def _divide_content(f: dict, lead_coeff: int) -> dict:
+    """f over the gcd of its coefficients, signed so the leading one is > 0."""
+    g = gcd(*f.values())
+    if lead_coeff < 0:
+        g = -g
+    return {m: c // g for m, c in f.items()}
 
 
 def strip_content(f: Poly, order: TermOrder | None = None) -> Poly:
     if not f:
         return f
-    g = 0
-    for c in f.values():
-        g = gcd(g, abs(c))
-    out = {m: c // g for m, c in f.items()}
-    if order is not None and initial_term(out, order)[1] < 0:
-        out = poly_scale(out, -1)
-    return out
+    return _divide_content(f, initial_term(f, order)[1] if order is not None else 1)
+
+
+class _Packed(dict):
+    """A polynomial as {packed key: coefficient}, in the packing of a _Basis."""
+
+
+class _Basis:
+    """Polynomials prepared for one term order, for the length of one call.
+
+    Each polynomial's terms are (packed key, packed exponents, coefficient)
+    and its leading term is found once, when it is appended.  ``exps`` maps
+    the packed key of every monomial met so far to its packed exponents.
+    Iterating gives back the polynomials as they were appended.
+    """
+
+    def __init__(self, polys: Iterable[Poly], order: TermOrder):
+        self.order = order
+        self.nvars = order.n * order.n
+        self.guard = sum(1 << (_FIELD * v + _FIELD - 1) for v in range(self.nvars))
+        self.exps: dict[int, int] = {}
+        self.polys: list[Poly] = []
+        self.terms: list[list[tuple[int, int, int]]] = []
+        self.heads: list[tuple[int, int, int]] = []  # leading terms, packed
+        self.leads: list[Mono] = []  # leading monomials
+        for f in polys:
+            self.append(f)
+
+    def __len__(self) -> int:
+        return len(self.polys)
+
+    def __iter__(self):
+        return iter(self.polys)
+
+    def pack(self, m: Mono) -> int:
+        """The packed key of m; records its packed exponents in ``exps``."""
+        k = e = 0
+        for v, x in enumerate(m):
+            if x:
+                if x >= _EXP_LIMIT:
+                    raise OverflowError(f"exponent above {_EXP_LIMIT - 1}")
+                k += x * self.order.weights[v]
+                e += x << (_FIELD * v)
+        self.exps[k] = e
+        return k
+
+    def key_of(self, e: int) -> int:
+        """The packed key of the monomial with packed exponents e."""
+        k = 0
+        while e:
+            shift = (e & -e).bit_length() - 1
+            shift -= shift % _FIELD
+            x = (e >> shift) & _FIELD_MASK
+            k += x * self.order.weights[shift // _FIELD]
+            e -= x << shift
+        return k
+
+    def unpack(self, h: dict) -> Poly:
+        return {
+            tuple((self.exps[k] >> (_FIELD * v)) & _FIELD_MASK for v in range(self.nvars)): c
+            for k, c in h.items()
+        }
+
+    def append(self, f: Poly) -> None:
+        if not f:
+            raise ValueError("zero polynomial has no initial term")
+        keys = [self.pack(m) for m in f]
+        lead_key, lead = max(zip(keys, f))
+        self.polys.append(f)
+        self.terms.append([(k, self.exps[k], c) for k, c in zip(keys, f.values())])
+        self.heads.append((lead_key, self.exps[lead_key], f[lead]))
+        self.leads.append(lead)
+
+    def _add_multiple(self, h: dict, i: int, qk: int, qe: int, factor: int) -> None:
+        """h += factor * q * (element i), q the monomial packed as (qk, qe)."""
+        exps, guard = self.exps, self.guard
+        for k, e, c in self.terms[i]:
+            k += qk
+            if k not in exps:
+                e += qe
+                if e & guard:
+                    raise OverflowError(f"exponent above {_EXP_LIMIT - 1}")
+                exps[k] = e
+            v = h.get(k, 0) + factor * c
+            if v:
+                h[k] = v
+            else:
+                del h[k]
+
+    def lcm(self, a: int, b: int) -> int:
+        """Packed exponents of lcm(lm a, lm b), the larger field of the two
+        field by field: a field's guard bit survives (ea | guard) - eb where
+        ea's field is at least eb's, and times _FIELD_MASK fills the field."""
+        ea, eb = self.heads[a][1], self.heads[b][1]
+        larger = (((ea | self.guard) - eb) & self.guard) >> (_FIELD - 1)
+        mask = larger * _FIELD_MASK
+        return (ea & mask) | (eb & ~mask)
+
+    def s_polynomial(self, a: int, b: int, lcm: int) -> _Packed:
+        """S-polynomial of elements a and b; lcm = self.lcm(a, b)."""
+        (ka, ea, ca), (kb, eb, cb) = self.heads[a], self.heads[b]
+        kl = ka + self.key_of(lcm - ea)
+        lc = abs(ca * cb) // gcd(ca, cb)
+        h = _Packed()
+        self._add_multiple(h, a, kl - ka, lcm - ea, lc // ca)
+        self._add_multiple(h, b, kl - kb, lcm - eb, -(lc // cb))
+        return h
+
+    def chain(self, lcm: int, taken: int) -> bool:
+        """Whether some element c with both its pairs taken (a bit of
+        ``taken``) has a leading monomial dividing ``lcm`` (packed)."""
+        while taken:
+            low = taken & -taken
+            if not (lcm - self.heads[low.bit_length() - 1][1]) & self.guard:
+                return True
+            taken ^= low
+        return False
+
+    def reduce(self, f: dict, max_coeff: int) -> _Packed:
+        """Top reduction of a packed polynomial, step for step as on dicts:
+        the first element whose leading monomial divides, lcm scaling, then
+        content removal with a positive leading coefficient."""
+        exps, heads, guard = self.exps, self.heads, self.guard
+        h = dict(f)
+        while h:
+            hk = max(h)
+            hc, he = h[hk], exps[hk]
+            hit = next((i for i, (_, ge, _) in enumerate(heads) if not (he - ge) & guard), None)
+            if hit is None:
+                break
+            gk, ge, gc = heads[hit]
+            if hc % gc == 0:
+                scale, factor = 1, hc // gc
+            else:
+                l = abs(hc * gc) // gcd(hc, gc)
+                scale = l // abs(hc)
+                factor = (scale * hc) // gc
+            if scale != 1:
+                h = {k: c * scale for k, c in h.items()}
+            self._add_multiple(h, hit, hk - gk, he - ge, -factor)
+            if h:
+                h = _divide_content(h, h[max(h)])
+                if max(map(abs, h.values())) > max_coeff:
+                    raise CoefficientBlowup(f"coefficient bound {max_coeff} exceeded")
+        return _Packed(h)
+
+
+def _prepare(basis: Sequence[Poly], order: TermOrder) -> _Basis:
+    if isinstance(basis, _Basis) and basis.order == order:
+        return basis
+    return _Basis(basis, order)
 
 
 def s_polynomial(f: Poly, g: Poly, order: TermOrder) -> Poly:
-    fm, fc = initial_term(f, order)
-    gm, gc = initial_term(g, order)
-    lm = mono_lcm(fm, gm)
-    lc = abs(fc * gc) // gcd(abs(fc), abs(gc))
-    left = poly_term_mul(f, mono_div(lm, fm), lc // fc)
-    right = poly_term_mul(g, mono_div(lm, gm), lc // gc)
-    return poly_sub(left, right)
+    basis = _Basis([f, g], order)
+    return basis.unpack(basis.s_polynomial(0, 1, basis.lcm(0, 1)))
 
 
 def top_reduce(
     f: Poly, basis: Sequence[Poly], order: TermOrder, max_coeff: int = 10**9
 ) -> Poly:
-    """Remainder whose leading term no basis leading term divides."""
-    leads = [initial_term(g, order) for g in basis]
-    h = dict(f)
-    while h:
-        hm, hc = initial_term(h, order)
-        hit = next(
-            (k for k, (gm, _) in enumerate(leads) if mono_divides(gm, hm)), None
-        )
-        if hit is None:
-            return h
-        gm, gc = leads[hit]
-        if hc % gc == 0:
-            scale, factor = 1, hc // gc
-        else:
-            l = abs(hc * gc) // gcd(abs(hc), abs(gc))
-            scale = l // abs(hc)
-            factor = (scale * hc) // gc
-        h = poly_sub(poly_scale(h, scale), poly_term_mul(basis[hit], mono_div(hm, gm), factor))
-        h = strip_content(h, order)
-        if h and max(abs(c) for c in h.values()) > max_coeff:
-            raise CoefficientBlowup(f"coefficient bound {max_coeff} exceeded")
-    return h
+    """Remainder whose leading term no basis leading term divides.
+
+    The pair loop passes its prepared basis with a packed S-polynomial and
+    gets the remainder back packed."""
+    basis = _prepare(basis, order)
+    if isinstance(f, _Packed):
+        return basis.reduce(f, max_coeff)
+    return basis.unpack(basis.reduce({basis.pack(m): c for m, c in f.items()}, max_coeff))
+
+
+def _remainders(basis: _Basis, pairs: Iterable[tuple[int, int]], max_coeff: int = 10**9):
+    """The pair loop of is_groebner_basis and buchberger: yields the
+    remainder of each pair (a, b), a < b, that neither criterion skips.
+    ``pairs`` gives every pair once, each pair of an element the caller
+    appends included."""
+    taken: list[int] = []  # taken[a]: bit c set once the pair (a, c) is taken
+    leads = basis.leads
+    for a, b in pairs:
+        if b >= len(taken):
+            taken.extend([0] * (b + 1 - len(taken)))
+        taken[a] |= 1 << b
+        taken[b] |= 1 << a
+        if mono_coprime(leads[a], leads[b]):
+            continue
+        lcm = basis.lcm(a, b)
+        if basis.chain(lcm, taken[a] & taken[b]):
+            continue
+        yield top_reduce(basis.s_polynomial(a, b, lcm), basis, basis.order, max_coeff)
+
+
+def _normal_selection(basis: _Basis):
+    """Pairs by the degree of their lcm, then the lcm, as the basis grows."""
+    heap: list = []
+    paired = 0
+    while True:
+        for t in range(paired, len(basis)):
+            for a in range(t):
+                lcm = mono_lcm(basis.leads[a], basis.leads[t])
+                heapq.heappush(heap, (sum(lcm), lcm, a, t))
+        paired = len(basis)
+        if not heap:
+            return
+        yield heapq.heappop(heap)[2:]
 
 
 def is_groebner_basis(gens: Sequence[Poly], order: TermOrder) -> bool:
     """Buchberger's criterion: every S-pair reduces to zero."""
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            am, _ = initial_term(gens[a], order)
-            bm, _ = initial_term(gens[b], order)
-            if mono_coprime(am, bm):
-                continue
-            if top_reduce(s_polynomial(gens[a], gens[b], order), gens, order):
-                return False
-    return True
+    basis = _prepare(gens, order)
+    return not any(_remainders(basis, itertools.combinations(range(len(basis)), 2)))
 
 
 def buchberger(
     gens: Iterable[Poly], order: TermOrder, max_coeff: int = 10**9
 ) -> list[Poly]:
     """Complete a generating set to a Groebner basis (normal pair selection)."""
-    basis = [strip_content(dict(g), order) for g in gens if g]
-    pairs = {(a, b) for a in range(len(basis)) for b in range(a + 1, len(basis))}
-
-    def pair_key(pair):
-        a, b = pair
-        lm = mono_lcm(
-            initial_term(basis[a], order)[0], initial_term(basis[b], order)[0]
-        )
-        return (sum(lm), lm)
-
-    while pairs:
-        a, b = min(pairs, key=pair_key)
-        pairs.discard((a, b))
-        am, _ = initial_term(basis[a], order)
-        bm, _ = initial_term(basis[b], order)
-        if mono_coprime(am, bm):
-            continue
-        rem = top_reduce(s_polynomial(basis[a], basis[b], order), basis, order, max_coeff)
+    basis = _Basis([strip_content(dict(g), order) for g in gens if g], order)
+    for rem in _remainders(basis, _normal_selection(basis), max_coeff):
         if rem:
-            basis.append(strip_content(rem, order))
-            pairs.update((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return basis
+            basis.append(strip_content(basis.unpack(rem), order))
+    return basis.polys
 
 
 def initial_ideal(basis: Sequence[Poly], order: TermOrder) -> frozenset:
     """Minimal monomial generators of the ideal of initial terms."""
-    return ideal_mod.minimalize(
-        (initial_term(g, order)[0] for g in basis), mono_divides, sum
-    )
+    return ideal_mod.minimalize(_prepare(basis, order).leads, mono_divides, sum)
 
 
 def verify_theorem_b(w: Perm, order: TermOrder, max_n: int = 5) -> bool:
@@ -268,16 +435,15 @@ def verify_theorem_b(w: Perm, order: TermOrder, max_n: int = 5) -> bool:
     minors = sorted(
         ideal_mod.schubert_generators(w), key=lambda m: (m.size, m.rows, m.cols)
     )
-    gens = [minor_polynomial(m, n) for m in minors]
+    basis = _Basis((minor_polynomial(m, n) for m in minors), order)
     jw = ideal_mod.antidiagonal_ideal(w)
     # definitional sanity: an antidiagonal order picks each minor's antidiagonal
-    for minor, g in zip(minors, gens):
-        lm, _ = initial_term(g, order)
+    for minor, lm in zip(minors, basis.leads):
         if mono_cells(lm, n) != minor.antidiagonal():
             return False
-    if not gens:
+    if not minors:
         return not jw.generators
-    if not is_groebner_basis(gens, order):
+    if not is_groebner_basis(basis, order):
         return False
-    computed = {mono_cells(m, n) for m in initial_ideal(gens, order)}
+    computed = {mono_cells(m, n) for m in initial_ideal(basis, order)}
     return computed == set(jw.generators)

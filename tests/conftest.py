@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="run the slow sweeps (S5 Groebner verification, the 165-minor instance)",
+        help="run the slow sweeps (S6 Groebner verification, the 165-minor instance)",
     )
 
 

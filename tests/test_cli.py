@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from schubert import cli
+from schubert import cli, grobner
 
 
 def run(capsys, *argv):
@@ -52,6 +52,14 @@ def test_mitosis_verb(capsys):
     assert len(offspring) == 1
 
 
+@pytest.mark.parametrize("dream", ['{"n":4}', "[1]", '{"n":4,"crosses":[[1]]}', "{"])
+def test_malformed_dream_is_usage_error(capsys, dream):
+    code, out, err = run(capsys, "mitosis", "--row", "1", "--dream", dream)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed pipe dream")
+    assert "Traceback" not in err
+
+
 def test_ideal_verb(capsys):
     code, out, _ = run(capsys, "ideal", "2143", "--json")
     assert code == 0
@@ -75,6 +83,16 @@ def test_gb_verify_all_s4(capsys):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 24
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_coefficient_blowup_exits_1(capsys, monkeypatch):
+    def blowup(*args, **kwargs):
+        raise grobner.CoefficientBlowup("coefficient bound 10 exceeded")
+
+    monkeypatch.setattr(grobner, "verify_theorem_b", blowup)
+    code, out, err = run(capsys, "gb-verify", "2143")
+    assert (code, out) == (1, "")
+    assert err == "error: coefficient bound 10 exceeded\n"
 
 
 def test_gb_verify_diag_order_is_usage_error(capsys):

@@ -1,3 +1,6 @@
+import itertools
+from math import gcd
+
 import pytest
 
 from schubert import grobner, ideal, perm, pipedream
@@ -8,8 +11,71 @@ from schubert.grobner import (
     initial_term,
     minor_polynomial,
     mono_cells,
+    mono_divides,
+    mono_lcm,
 )
 from schubert.ideal import Minor
+
+
+# -- reference: Buchberger's criterion with every S-pair reduced, on dicts --------
+
+
+def _sub(f, g):
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = out.get(m, 0) - c
+        if not out[m]:
+            del out[m]
+    return out
+
+
+def _term_times(f, m, c):
+    return {tuple(map(int.__add__, fm, m)): fc * c for fm, fc in f.items()}
+
+
+def _quotient(a, b):
+    return tuple(map(int.__sub__, a, b))
+
+
+def _ref_s_polynomial(f, g, order):
+    fm, fc = initial_term(f, order)
+    gm, gc = initial_term(g, order)
+    lm = mono_lcm(fm, gm)
+    lc = abs(fc * gc) // gcd(fc, gc)
+    return _sub(
+        _term_times(f, _quotient(lm, fm), lc // fc),
+        _term_times(g, _quotient(lm, gm), lc // gc),
+    )
+
+
+def _ref_remainder(f, basis, order):
+    leads = [initial_term(g, order) for g in basis]
+    h = dict(f)
+    while h:
+        hm, hc = initial_term(h, order)
+        hit = next((k for k, (gm, _) in enumerate(leads) if mono_divides(gm, hm)), None)
+        if hit is None:
+            return h
+        gm, gc = leads[hit]
+        scale = abs(gc) // gcd(hc, gc)
+        h = _sub(
+            {m: c * scale for m, c in h.items()},
+            _term_times(basis[hit], _quotient(hm, gm), scale * hc // gc),
+        )
+    return h
+
+
+def reference_is_groebner_basis(gens, order):
+    """No pruning: no product or chain criterion, every S-pair is reduced."""
+    return not any(
+        _ref_remainder(_ref_s_polynomial(f, g, order), gens, order)
+        for f, g in itertools.combinations(gens, 2)
+    )
+
+
+def gens_of(w):
+    minors = sorted(ideal.schubert_generators(w), key=lambda m: (m.size, m.rows, m.cols))
+    return [minor_polynomial(m, len(w)) for m in minors]
 
 
 NW3 = minor_polynomial(Minor((1, 2, 3), (1, 2, 3)), 4)
@@ -76,6 +142,74 @@ def test_buchberger_completes_diagonal_2143():
     basis = grobner.buchberger(gens, order)
     assert len(basis) > len(gens)
     assert grobner.is_groebner_basis(basis, order)
+    assert reference_is_groebner_basis(basis, order)
+
+
+def test_buchberger_output_passes_reference_s4():
+    # the pair loop with a growing basis: normal selection, both criteria
+    order = diag_lex(4)
+    for w in perm.all_perms(4):
+        gens = gens_of(w)
+        basis = grobner.buchberger(gens, order)
+        assert basis[: len(gens)] == gens
+        assert reference_is_groebner_basis(basis, order), w
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_criterion_matches_reference(n):
+    orders = [antidiag_revlex_nw(n), antidiag_lex_ne(n), diag_lex(n)]
+    verdicts = set()
+    for w in perm.all_perms(n):
+        gens = gens_of(w)
+        for order in orders:
+            verdict = grobner.is_groebner_basis(gens, order)
+            assert verdict == reference_is_groebner_basis(gens, order), (w, order.name)
+            verdicts.add((order.antidiagonal, verdict))
+    # the antidiagonal orders always accept; the diagonal order rejects some w
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+SYMPY_CASES = [
+    (w, order)
+    for w in ("2143", "1432", "3142", "1342", "2413")
+    for order in ("antidiag-revlex", "antidiag-lex")
+] + [("2143", "diag")]
+
+
+def _sympy_setting(order):
+    """sympy's name for the order and the variables in decreasing order."""
+    n = order.n
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    if order.name == "antidiag-lex":
+        cells = [(i, j) for j in range(n, 0, -1) for i in range(1, n + 1)]
+    return ("grevlex" if order.name == "antidiag-revlex" else "lex"), cells
+
+
+@pytest.mark.parametrize("w,order_name", SYMPY_CASES)
+def test_initial_ideal_against_sympy(w, order_name):
+    sympy = pytest.importorskip("sympy")
+    w = perm.parse(w)
+    n = len(w)
+    order = grobner.TERM_ORDERS[order_name](n)
+    gens = gens_of(w)
+    name, cells = _sympy_setting(order)
+    zs = [sympy.Symbol(f"z{i}{j}") for i, j in cells]
+    where = [(i - 1) * n + (j - 1) for i, j in cells]
+
+    def expr(f):
+        return sum(c * sympy.prod(z**e for z, e in zip(zs, (m[k] for k in where))) for m, c in f.items())
+
+    reduced = sympy.groebner([expr(f) for f in gens], *zs, order=name)
+    leading = set()
+    for p in reduced.polys:
+        exps = p.monoms(order=name)[0]
+        mono = [0] * (n * n)
+        for k, e in zip(where, exps):
+            mono[k] = e
+        leading.add(tuple(mono))
+    verdict = grobner.is_groebner_basis(gens, order)
+    assert verdict == (order_name != "diag")
+    assert (leading == grobner.initial_ideal(gens, order)) == verdict
 
 
 def test_initial_ideal_contains_antidiagonals():
@@ -91,6 +225,42 @@ def test_verify_theorem_b_s4():
     for w in perm.all_perms(4):
         assert grobner.verify_theorem_b(w, antidiag_revlex_nw(4))
         assert grobner.verify_theorem_b(w, antidiag_lex_ne(4))
+
+
+def test_verify_theorem_b_s5():
+    for w in perm.all_perms(5):
+        assert grobner.verify_theorem_b(w, antidiag_revlex_nw(5))
+        assert grobner.verify_theorem_b(w, antidiag_lex_ne(5))
+
+
+def test_verify_theorem_b_165_minors():
+    w = perm.parse("13865742")
+    assert len(ideal.schubert_generators(w)) == 165
+    for order in (antidiag_revlex_nw(8), antidiag_lex_ne(8)):
+        assert grobner.verify_theorem_b(w, order, max_n=8)
+
+
+def test_reduction_count_gate(monkeypatch):
+    # S-pairs reduced for one S6 instance: a change that silently reduces
+    # more pairs fails here.  The product and chain criteria leave 131 of
+    # the 308 pairs whose leading monomials share a variable.
+    w = perm.parse("136542")
+    reduced = []
+    top_reduce = grobner.top_reduce
+
+    def counting(*args, **kwargs):
+        reduced.append(1)
+        return top_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(grobner, "top_reduce", counting)
+    for order in (antidiag_revlex_nw(6), antidiag_lex_ne(6)):
+        reduced.clear()
+        assert grobner.verify_theorem_b(w, order, max_n=6)
+        leads = [initial_term(g, order)[0] for g in gens_of(w)]
+        sharing = sum(
+            not grobner.mono_coprime(a, b) for a, b in itertools.combinations(leads, 2)
+        )
+        assert (len(reduced), sharing) == (131, 308)
 
 
 def test_verify_theorem_b_w0_trivial():
@@ -118,6 +288,25 @@ def test_s_polynomial_exactness():
     assert all(isinstance(c, int) for c in s.values())
     # leading terms cancel
     assert (2, 1, 0, 0) not in s
+
+
+def test_remainders_match_reference_s4():
+    # exact remainders, not only their vanishing, under every order
+    for w in perm.all_perms(4):
+        gens = gens_of(w)
+        for order in (antidiag_revlex_nw(4), antidiag_lex_ne(4), diag_lex(4)):
+            for f, g in itertools.combinations(gens, 2):
+                s = grobner.s_polynomial(f, g, order)
+                assert s == _ref_s_polynomial(f, g, order)
+                rem = grobner.top_reduce(s, gens, order)
+                ref = _ref_remainder(s, gens, order)
+                assert rem == grobner.strip_content(ref, order)
+
+
+def test_exponent_past_packing_limit():
+    big = {(1 << 15, 0, 0, 0): 1}
+    with pytest.raises(OverflowError):
+        grobner.top_reduce(big, [{(1, 0, 0, 0): 1}], diag_lex(2))
 
 
 def test_coefficient_guard():
