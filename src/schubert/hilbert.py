@@ -54,7 +54,10 @@ def exp_weight(grading: str, cell: Cell) -> dict:
 
 def ord_weight(grading: str, cell: Cell) -> LaurentPoly:
     """Ordinary weight of z_cell: the linear form sum e*v over exp_weight."""
-    return LaurentPoly({((v, 1),): e for v, e in exp_weight(grading, cell).items()})
+    out = poly.ZERO
+    for v, e in exp_weight(grading, cell).items():
+        out = out + LaurentPoly.variable(v) * e
+    return out
 
 
 def _gen_mono(pairs: Iterable[tuple[Cell, int]]) -> GenMono:
@@ -146,20 +149,21 @@ def coarsen_multidegree(c: LaurentPoly, to: str) -> LaurentPoly:
 def multidegree(k: LaurentPoly, grading: str, codim: int | None = None) -> LaurentPoly:
     """Lowest-degree part of K(1 - t).
 
-    Exact for the zn2, zn, z gradings (genuine polynomials).  In the z2n
-    grading the y block is Laurent, so the substitution expands as a series
-    truncated at total degree codim + 1; ``codim`` is required there.
+    With ``codim`` the substitution forms only the terms of total degree at
+    most codim; a lowest degree below codim survives that intact, and one
+    above it leaves nothing, which raises.  In the z2n grading the y block is
+    Laurent, the substitution expands as a series, and ``codim`` is required.
+    Without it the expansion is exact and complete (genuine polynomials).
     """
     blocks = {v[0] for v in exp_weight(grading, (1, 1))}
-    if k.has_negative_exponent(blocks):
-        if codim is None:
+    if codim is None:
+        if k.has_negative_exponent(blocks):
             raise ValueError("Laurent K-polynomial needs a codimension bound")
-        bound = codim + 1
-        sub = poly.one_minus_substitute(k, blocks, bound=bound)
-        if sub.is_zero() or sub.min_total_degree() > codim:
-            raise ValueError("truncation bound exceeded")
-        return poly.lowest_degree_terms(sub)
-    return poly.lowest_degree_terms(poly.one_minus_substitute(k, blocks))
+        return poly.lowest_degree_terms(poly.one_minus_substitute(k, blocks))
+    sub = poly.one_minus_substitute(k, blocks, bound=codim)
+    if sub.is_zero():
+        raise ValueError("truncation bound exceeded")
+    return poly.lowest_degree_terms(sub)
 
 
 def multidegree_of_ideal(ideal, grading: str = "zn") -> LaurentPoly:
@@ -197,7 +201,7 @@ def theorem_a_check(w: Perm) -> bool:
         return False
     if coarsen(k_fine, "z2n") != poly.double_grothendieck(w):
         return False
-    fine = multidegree(k_fine, "zn2")
+    fine = multidegree(k_fine, "zn2", codim=perm.length(w))
     if coarsen_multidegree(fine, "zn") != poly.schubert(w):
         return False
     return coarsen_multidegree(fine, "z2n") == poly.double_schubert(w)

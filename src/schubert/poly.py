@@ -1,10 +1,21 @@
 """Exact multivariate Laurent polynomials and the four Schubert-type families.
 
 Variables are tagged tuples: ``("x", i)``, ``("y", j)``, ``("z", i, j)``, and
-``("t",)``.  A monomial is a sorted tuple of (variable, exponent) pairs with
-nonzero exponents; negative exponents are allowed (they occur on the y block
-of double Grothendieck polynomials).  Coefficients are Python ints, so all
+``("t",)``, with indices from 1.  Coefficients are Python ints, so all
 arithmetic is exact.
+
+A monomial is one Python int holding its exponents as signed (balanced)
+16-bit digits: the exponent e of the variable at index p contributes
+e << (16 * p), so negative exponents (on the y block of double Grothendieck
+polynomials) need no special case.  Digit 0 holds the total degree, so the
+product of two monomials is the sum of their ints and the degree is one mask.
+The variable index does not depend on n: index 1 is t, and shell k, at
+indices k^2 + 1 .. (k+1)^2, holds x_k, y_k, z_k1 .. z_kk, z_1k .. z_{k-1,k}.
+Polynomials built for different n therefore compare equal term by term.  An
+exponent or a total degree of 2^15 or more in absolute value does not fit a
+digit and raises OverflowError.  ``exponents(m)`` decodes a monomial into its
+sorted (variable, exponent) pairs; only printing, JSON and the variable and
+sign queries decode.
 
 The divided difference and Demazure operators act on the x block only.  Both
 are computed term by term from the closed form
@@ -22,15 +33,21 @@ get-or-compute map the shared cache needs.
 from __future__ import annotations
 
 import json
-from functools import cache
-from math import comb
+from functools import cache, reduce
+from math import comb, isqrt
+from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
 from . import perm
+from .limits import size_guard
 from .perm import Perm
 
 Var = tuple
-Monomial = tuple  # sorted tuple of (Var, int) pairs
+Monomial = int  # exponents packed in balanced 16-bit digits; digit 0 is the degree
+
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_HALF = 1 << (_BITS - 1)  # exponents and degrees stay strictly below this in absolute value
 
 
 def xvar(i: int) -> Var:
@@ -50,77 +67,226 @@ TVAR: Var = ("t",)
 _BLOCK_RANK = {"x": 0, "y": 1, "z": 2, "t": 3}
 
 
-def _canon(exps: Mapping[Var, int]) -> Monomial:
-    return tuple(sorted((v, e) for v, e in exps.items() if e))
+# -- the packed monomial ---------------------------------------------------------
 
 
-def _mono_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
+def _index(v: Var) -> int:
+    """The digit of v: t is 1, shell k holds x_k, y_k, z_k1..z_kk, z_1k..z_{k-1,k}."""
+    if v == TVAR:
+        return 1
+    if len(v) == 2 and v[0] in ("x", "y") and type(v[1]) is int and v[1] >= 1:
+        return v[1] * v[1] + (1 if v[0] == "x" else 2)
+    if len(v) == 3 and v[0] == "z" and type(v[1]) is type(v[2]) is int and min(v[1:]) >= 1:
+        i, j = v[1], v[2]
+        return i * i + 2 + j if i >= j else j * j + 2 + j + i
+    raise ValueError(f"not a variable: {v!r}")
 
 
-def _add_into(out: dict, f: "LaurentPoly") -> None:
-    """Accumulate the terms of f into the term dict out (zeros may remain)."""
-    for m, c in f.terms.items():
+def _var_at(p: int) -> Var:
+    """The variable of digit p >= 1 (inverse of _index)."""
+    if p == 1:
+        return TVAR
+    k = isqrt(p - 1)
+    r = p - 1 - k * k
+    if r == 0:
+        return xvar(k)
+    if r == 1:
+        return yvar(k)
+    if r <= k + 1:
+        return zvar(k, r - 1)
+    return zvar(r - k - 1, k)
+
+
+def _unit(v: Var) -> Monomial:
+    """The monomial v: a one in v's digit and in the degree digit."""
+    return (1 << (_BITS * _index(v))) + 1
+
+
+def _ones(k: int) -> int:
+    """A one in each of the digits 0 .. k-1."""
+    return ((1 << (_BITS * k)) - 1) // _MASK
+
+
+def _span(terms) -> int:
+    """Number of digits that covers every monomial of terms."""
+    return max(map(abs, terms), default=0).bit_length() // _BITS + 2
+
+
+def _degree(m: Monomial) -> int:
+    return ((m + _HALF) & _MASK) - _HALF
+
+
+def _reader(v: Var):
+    """(lift, shift) reading v's exponent as (((m + lift) >> shift) & _MASK) - _HALF:
+    the lift makes v's digit and the ones below it nonnegative, so no borrow
+    from a lower digit reaches it."""
+    p = _index(v)
+    return _ones(p + 1) << (_BITS - 1), _BITS * p
+
+
+def _check_exponent(e: int, what) -> None:
+    if not -_HALF < e < _HALF:
+        raise OverflowError(f"{what} {e} does not fit a 16-bit digit")
+
+
+def _pack(exps: Mapping[Var, int]) -> Monomial:
+    m = degree = 0
+    for v, e in exps.items():
+        _check_exponent(e, f"exponent of {v}")
+        m += e << (_BITS * _index(v))
+        degree += e
+    _check_exponent(degree, "total degree")
+    return m + degree
+
+
+def _digits(m: Monomial) -> list[int]:
+    """The balanced digits of m, the degree first."""
+    out = []
+    while m:
+        d = ((m + _HALF) & _MASK) - _HALF
+        out.append(d)
+        m = (m - d) >> _BITS
+    return out
+
+
+def exponents(m: Monomial) -> tuple:
+    """The sorted (variable, exponent) pairs of a packed monomial."""
+    return tuple(sorted((_var_at(p), e) for p, e in enumerate(_digits(m)) if p and e))
+
+
+def _within(terms, j: int) -> bool:
+    """Whether every digit of these monomials lies in [-2^j, 2^j), j < 15.
+    Lifting each digit by 2^j leaves it in [0, 2^(j+1)) exactly when it is in
+    range, and the lowest digit out of range sets a bit above j in its field."""
+    ones = _ones(_span(terms))
+    lift, high = ones << j, ones * (_MASK ^ ((2 << j) - 1))
+    return not any(map(high.__and__, map(lift.__add__, terms)))
+
+
+def _reach(f: "LaurentPoly") -> int:
+    """A bound on every |exponent| and |degree| of f, computed once per f."""
+    if f._reach is None:
+        for j in (3, 13):
+            if _within(f.terms, j):
+                f._reach = 1 << j
+                break
+        else:
+            f._reach = max(abs(d) for m in f.terms for d in _digits(m))
+    return f._reach
+
+
+def _product_reach(p: "LaurentPoly", q: "LaurentPoly") -> int:
+    """A bound for p * q; OverflowError if a term of p times a term of q has
+    an exponent or a degree of 2^15 or more in absolute value."""
+    reach = _reach(p) + _reach(q)
+    if reach < _HALF:
+        return reach
+    digits = [[_digits(m) for m in f.terms] for f in (p, q)]
+    width = max(len(d) for ds in digits for d in ds)
+    ranges = [
+        [(min(c), max(c)) for c in zip(*(d + [0] * (width - len(d)) for d in ds))]
+        for ds in digits
+    ]
+    reach = 0
+    for (lo1, hi1), (lo2, hi2) in zip(*ranges):
+        _check_exponent(hi1 + hi2, "product exponent")
+        _check_exponent(lo1 + lo2, "product exponent")
+        reach = max(reach, hi1 + hi2, -lo1 - lo2)
+    return reach
+
+
+def _bounded(terms: Mapping, reach: int | None) -> "LaurentPoly":
+    f = LaurentPoly(terms)
+    f._reach = reach
+    return f
+
+
+def _max_reach(*fs: "LaurentPoly") -> int | None:
+    return None if any(f._reach is None for f in fs) else max(f._reach for f in fs)
+
+
+def _add_into(out: dict, terms: Mapping) -> None:
+    """Accumulate a term dict into the term dict out (zeros may remain)."""
+    for m, c in terms.items():
         out[m] = out.get(m, 0) + c
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial with integer coefficients."""
+def _mul_truncated(p: Mapping, q: Mapping, bound: int | None) -> dict:
+    """Term dict of p * q, skipping each pair of terms whose product has total
+    degree above bound (no truncation when bound is None).  Exponents are not
+    checked; callers make sure they fit."""
+    out: dict = {}
+    get = out.get
+    if bound is None:
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                key = m1 + m2
+                out[key] = get(key, 0) + c1 * c2
+        return out
+    by_degree = sorted((_degree(m), m, c) for m, c in q.items())
+    for m1, c1 in p.items():
+        room = bound - _degree(m1)
+        for d2, m2, c2 in by_degree:
+            if d2 > room:
+                break
+            key = m1 + m2
+            out[key] = get(key, 0) + c1 * c2
+    return out
 
-    __slots__ = ("terms",)
+
+class LaurentPoly:
+    """Sparse Laurent polynomial with integer coefficients: a dict from
+    packed monomials to nonzero coefficients.  ``_reach`` bounds every
+    |exponent| and |degree| of the terms when known; products add it, so a
+    product checks its operands' fit in O(1)."""
+
+    __slots__ = ("terms", "_reach")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         self.terms: dict[Monomial, int] = {
             m: c for m, c in (terms or {}).items() if c
         }
+        self._reach: int | None = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _bounded({}, 0)
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        return cls({(): c})
+        return _bounded({0: c}, 0)
 
     @classmethod
     def variable(cls, v: Var) -> "LaurentPoly":
-        return cls({((v, 1),): 1})
+        return _bounded({_unit(v): 1}, 1)
 
     @classmethod
     def monomial(cls, exps: Mapping[Var, int], coeff: int = 1) -> "LaurentPoly":
-        return cls({_canon(exps): coeff})
+        return cls({_pack(exps): coeff})
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
-        _add_into(out, other)
-        return LaurentPoly(out)
+        _add_into(out, other.terms)
+        return _bounded(out, _max_reach(self, other))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) - c
-        return LaurentPoly(out)
+        return _bounded(out, _max_reach(self, other))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return _bounded({m: -c for m, c in self.terms.items()}, self._reach)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly({m: c * other for m, c in self.terms.items()})
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, c2 in other.terms.items():
-                d = dict(d1)
-                for v, e in m2:
-                    d[v] = d.get(v, 0) + e
-                key = _canon(d)
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(out)
+            return _bounded({m: c * other for m, c in self.terms.items()}, self._reach)
+        reach = _product_reach(self, other)
+        return _bounded(_mul_truncated(self.terms, other.terms, None), reach)
 
     __rmul__ = __mul__
 
@@ -132,8 +298,9 @@ class LaurentPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
@@ -151,7 +318,12 @@ class LaurentPoly:
     # -- queries -----------------------------------------------------------
 
     def variables(self) -> set[Var]:
-        return {v for m in self.terms for v, _ in m}
+        # lifted by 2^15 every digit is a field of its own, which differs
+        # from the lift's exactly where the exponent is nonzero
+        k = _span(self.terms)
+        lift = _ones(k) << (_BITS - 1)
+        support = reduce(or_, map(lift.__xor__, map(lift.__add__, self.terms)), 0)
+        return {_var_at(p) for p in range(1, k) if (support >> (_BITS * p)) & _MASK}
 
     def coefficient_sum(self) -> int:
         """The value at every variable = 1."""
@@ -160,46 +332,59 @@ class LaurentPoly:
     def min_total_degree(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
-        return min(_mono_degree(m) for m in self.terms)
+        return min(map(_degree, self.terms))
 
     def has_negative_exponent(self, blocks: Iterable[str] = ("x", "y", "z", "t")) -> bool:
+        if not self.terms:
+            return False
         blocks = set(blocks)
+        # lifted by 2^15, a digit keeps its top bit in every term exactly
+        # when no term has a negative exponent there
+        k = _span(self.terms)
+        lift = _ones(k) << (_BITS - 1)
+        common = reduce(and_, map(lift.__add__, self.terms))
         return any(
-            e < 0 for m in self.terms for v, e in m if v[0] in blocks
+            not (common >> (_BITS * p + _BITS - 1)) & 1 and _var_at(p)[0] in blocks
+            for p in range(1, k)
         )
 
     # -- substitutions -----------------------------------------------------
 
     def swap_x(self, i: int) -> "LaurentPoly":
         """Apply s_i to the x block: exchange x_i and x_{i+1}."""
-        a, b = xvar(i), xvar(i + 1)
+        (la, sa), (lb, sb) = _reader(xvar(i)), _reader(xvar(i + 1))
+        step = (1 << sa) - (1 << sb)
         out: dict[Monomial, int] = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            ea, eb = d.pop(a, 0), d.pop(b, 0)
-            if eb:
-                d[a] = eb
-            if ea:
-                d[b] = ea
-            key = _canon(d)
-            out[key] = out.get(key, 0) + c
-        return LaurentPoly(out)
+            ea = (((m + la) >> sa) & _MASK) - _HALF
+            eb = (((m + lb) >> sb) & _MASK) - _HALF
+            out[m + (eb - ea) * step] = c
+        return _bounded(out, self._reach)
 
     def subs_monomial(self, mapping: Mapping[Var, Mapping[Var, int]]) -> "LaurentPoly":
         """Substitute a Laurent monomial for each mapped variable.
 
         Safe for negative exponents because monomials are invertible.
         """
+        table = [(*_reader(v), _pack(image) - _unit(v)) for v, image in mapping.items()]
+        # exact while the input and every change stay well inside a digit
+        scale = max((abs(d) for *_, delta in table for d in _digits(delta)), default=0)
+        safe = (_HALF - 1 - _reach(self)) // max(scale, 1)
         out: dict[Monomial, int] = {}
         for m, c in self.terms.items():
-            d: dict[Var, int] = {}
-            for v, e in m:
-                if v in mapping:
+            key, moved = m, 0
+            for lift, shift, delta in table:
+                e = (((m + lift) >> shift) & _MASK) - _HALF
+                if e:
+                    key += e * delta
+                    moved += abs(e)
+            if moved > safe:
+                exps = dict(exponents(m))
+                subs = {v: exps.pop(v) for v in mapping if v in exps}
+                for v, e in subs.items():
                     for v2, e2 in mapping[v].items():
-                        d[v2] = d.get(v2, 0) + e2 * e
-                else:
-                    d[v] = d.get(v, 0) + e
-            key = _canon(d)
+                        exps[v2] = exps.get(v2, 0) + e2 * e
+                key = _pack(exps)
             out[key] = out.get(key, 0) + c
         return LaurentPoly(out)
 
@@ -208,20 +393,27 @@ class LaurentPoly:
 
         Mapped variables must appear with nonnegative exponents.
         """
+        table = [(v, *_reader(v), _unit(v)) for v in mapping]
+        powers: dict[tuple[Var, int], LaurentPoly] = {}
         out: dict[Monomial, int] = {}
         for m, c in self.terms.items():
             acc = LaurentPoly.const(c)
-            residual: dict[Var, int] = {}
-            for v, e in m:
-                if v in mapping:
-                    if e < 0:
-                        raise ValueError(
-                            f"negative exponent on {v} under polynomial substitution"
-                        )
-                    acc = acc * (mapping[v] ** e)
-                else:
-                    residual[v] = e
-            _add_into(out, acc * LaurentPoly.monomial(residual))
+            residual, degree = m, _degree(m)
+            for v, lift, shift, unit in table:
+                e = (((m + lift) >> shift) & _MASK) - _HALF
+                if not e:
+                    continue
+                if e < 0:
+                    raise ValueError(
+                        f"negative exponent on {v} under polynomial substitution"
+                    )
+                if (v, e) not in powers:
+                    powers[v, e] = mapping[v] ** e
+                acc = acc * powers[v, e]
+                residual -= e * unit
+                degree -= e
+            _check_exponent(degree, "total degree")
+            _add_into(out, (acc * LaurentPoly({residual: 1})).terms)
         return LaurentPoly(out)
 
 
@@ -234,26 +426,28 @@ ONE = LaurentPoly.const(1)
 
 def divided_difference(i: int, f: LaurentPoly) -> LaurentPoly:
     """The divided difference (f - s_i f) / (x_i - x_{i+1}), acting on x only."""
-    u, v = xvar(i), xvar(i + 1)
+    (la, sa), (lb, sb) = _reader(xvar(i)), _reader(xvar(i + 1))
+    ua, ub = _unit(xvar(i)), _unit(xvar(i + 1))
+    # the x exponents stay in range and the degree drops by one
+    reach = _reach(f) + 1
+    if reach >= _HALF:
+        for m in f.terms:
+            _check_exponent(_degree(m) - 1, "total degree")
     out: dict[Monomial, int] = {}
+    get = out.get
     for m, c in f.terms.items():
-        d = dict(m)
-        a = d.pop(u, 0)
-        b = d.pop(v, 0)
+        a = (((m + la) >> sa) & _MASK) - _HALF
+        b = (((m + lb) >> sb) & _MASK) - _HALF
         if a == b:
             continue
-        sign = 1 if a > b else -1
+        sign = c if a > b else -c
         lo, hi = min(a, b), max(a, b)
-        for k in range(lo, hi):
-            d2 = dict(d)
-            if k:
-                d2[u] = k
-            kk = a + b - 1 - k
-            if kk:
-                d2[v] = kk
-            key = _canon(d2)
-            out[key] = out.get(key, 0) + sign * c
-    return LaurentPoly(out)
+        # u^k v^{a+b-1-k} for k = lo .. hi-1, one step of u/v at a time
+        key = m + (lo - a) * ua + (hi - 1 - b) * ub
+        for _ in range(hi - lo):
+            out[key] = get(key, 0) + sign
+            key += ua - ub
+    return _bounded(out, reach)
 
 
 def demazure(i: int, f: LaurentPoly) -> LaurentPoly:
@@ -270,48 +464,49 @@ def one_minus_substitute(
 
     Exact on polynomial input.  Negative exponents expand as the geometric
     series (1-v)^-m = sum_k C(m+k-1, k) v^k, which needs a total-degree
-    truncation ``bound``; without one, Laurent input is an error.
+    truncation ``bound``; without one, Laurent input is an error.  With a
+    bound, only the terms of total degree at most bound are formed.
     """
     blocks = set(blocks)
+    table = [(v, *_reader(v), _unit(v)) for v in sorted(f.variables()) if v[0] in blocks]
+    factors: dict[tuple[Var, int], dict] = {}
     out: dict[Monomial, int] = {}
     for m, c in f.terms.items():
-        factors = []
-        residual: dict[Var, int] = {}
-        for v, e in m:
-            if v[0] in blocks:
-                factors.append(_one_minus_power(v, e, bound))
-            else:
-                residual[v] = e
-        acc = LaurentPoly.monomial(residual, c)
-        for fac in factors:
+        residual, degree, top = m, _degree(m), 0
+        facs = []
+        for v, lift, shift, unit in table:
+            e = (((m + lift) >> shift) & _MASK) - _HALF
+            if not e:
+                continue
+            if (v, e) not in factors:
+                factors[v, e] = _one_minus_power(v, e, bound)
+            facs.append(factors[v, e])
+            residual -= e * unit
+            degree -= e
+            top += e if e > 0 else bound
+        # every product term has a degree in [degree, degree + top]
+        _check_exponent(degree, "total degree")
+        _check_exponent(degree + top, "total degree")
+        acc = {residual: c}
+        for fac in facs:
             acc = _mul_truncated(acc, fac, bound)
         _add_into(out, acc)
     return LaurentPoly(out)
 
 
-def _one_minus_power(v: Var, e: int, bound: int | None) -> LaurentPoly:
+def _one_minus_power(v: Var, e: int, bound: int | None) -> dict:
+    """Term dict of (1 - v)^e up to total degree bound."""
+    unit = _unit(v)
     if e >= 0:
         top = e if bound is None else min(e, bound)
-        return LaurentPoly(
-            {_canon({v: k}): (-1) ** k * comb(e, k) for k in range(top + 1)}
-        )
+        return {k * unit: (-1) ** k * comb(e, k) for k in range(top + 1)}
     if bound is None:
         raise ValueError(
             f"negative exponent on {v}: a truncation bound is required"
         )
+    _check_exponent(bound, "truncation bound")
     m = -e
-    return LaurentPoly(
-        {_canon({v: k}): comb(m + k - 1, k) for k in range(bound + 1)}
-    )
-
-
-def _mul_truncated(p: LaurentPoly, q: LaurentPoly, bound: int | None) -> LaurentPoly:
-    prod = p * q
-    if bound is None:
-        return prod
-    return LaurentPoly(
-        {m: c for m, c in prod.terms.items() if _mono_degree(m) <= bound}
-    )
+    return {k * unit: comb(m + k - 1, k) for k in range(bound + 1)}
 
 
 def lowest_degree_terms(f: LaurentPoly) -> LaurentPoly:
@@ -319,9 +514,7 @@ def lowest_degree_terms(f: LaurentPoly) -> LaurentPoly:
     if f.is_zero():
         raise ValueError("zero polynomial has no lowest-degree part")
     lo = f.min_total_degree()
-    return LaurentPoly(
-        {m: c for m, c in f.terms.items() if _mono_degree(m) == lo}
-    )
+    return _bounded({m: c for m, c in f.terms.items() if _degree(m) == lo}, f._reach)
 
 
 # -- polynomial families -----------------------------------------------------
@@ -385,7 +578,9 @@ def schubert(w: Sequence[int]) -> LaurentPoly:
 
 
 def double_schubert(w: Sequence[int]) -> LaurentPoly:
-    return _double_schubert(perm.validate(w))
+    w = perm.validate(w)
+    size_guard(len(w), 7, "double_schubert")
+    return _double_schubert(w)
 
 
 def grothendieck(w: Sequence[int]) -> LaurentPoly:
@@ -394,7 +589,9 @@ def grothendieck(w: Sequence[int]) -> LaurentPoly:
 
 
 def double_grothendieck(w: Sequence[int]) -> LaurentPoly:
-    return _double_grothendieck(perm.validate(w))
+    w = perm.validate(w)
+    size_guard(len(w), 7, "double_grothendieck")
+    return _double_grothendieck(w)
 
 
 # -- printing and JSON -------------------------------------------------------
@@ -414,11 +611,18 @@ def _var_sort_key(v: Var):
     return (_BLOCK_RANK[v[0]],) + tuple(v[1:])
 
 
-def _term_sort_key(mono: Monomial):
-    # graded, then lexicographic on the (x, y, z, t) display order
-    return (
-        -_mono_degree(mono),
-        tuple((_var_sort_key(v), -e) for v, e in sorted(mono, key=lambda p: _var_sort_key(p[0]))),
+def _display(m: Monomial) -> list:
+    """The (variable, exponent) pairs of m in display order: x, y, z, t."""
+    return sorted(exponents(m), key=lambda p: _var_sort_key(p[0]))
+
+
+def _sorted_terms(f: LaurentPoly) -> list:
+    """(monomial, its exponents) in print order: graded, then lexicographic
+    on the display order."""
+    shown = {m: _display(m) for m in f.terms}
+    return sorted(
+        shown.items(),
+        key=lambda item: (-_degree(item[0]), tuple((_var_sort_key(v), -e) for v, e in item[1])),
     )
 
 
@@ -426,11 +630,10 @@ def poly_str(f: LaurentPoly) -> str:
     if f.is_zero():
         return "0"
     parts = []
-    for mono in sorted(f.terms, key=_term_sort_key):
+    for mono, pairs in _sorted_terms(f):
         c = f.terms[mono]
         vars_txt = "*".join(
-            var_name(v) if e == 1 else f"{var_name(v)}^{e}"
-            for v, e in sorted(mono, key=lambda p: _var_sort_key(p[0]))
+            var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in pairs
         )
         if not vars_txt:
             body = str(abs(c))
@@ -450,9 +653,9 @@ def poly_to_jsonable(f: LaurentPoly) -> list[dict]:
     return [
         {
             "coeff": f.terms[m],
-            "exps": {var_name(v): e for v, e in m},
+            "exps": {var_name(v): e for v, e in exponents(m)},
         }
-        for m in sorted(f.terms, key=_term_sort_key)
+        for m, _ in _sorted_terms(f)
     ]
 
 
@@ -477,6 +680,6 @@ def _var_from_name(name: str) -> Var:
 def poly_from_jsonable(data: list[dict]) -> LaurentPoly:
     out: dict[Monomial, int] = {}
     for term in data:
-        key = _canon({_var_from_name(k): int(e) for k, e in term["exps"].items()})
+        key = _pack({_var_from_name(k): int(e) for k, e in term["exps"].items()})
         out[key] = out.get(key, 0) + int(term["coeff"])
     return LaurentPoly(out)

@@ -122,19 +122,21 @@ def subword_complex(word: Sequence[int], pi, cox: CoxeterSystem) -> SubwordCompl
     reduced_subwords: list[frozenset] = []
 
     # walk positions left to right; keep only partial products u that are
-    # prefixes of pi in weak order: length(u) + length(u^-1 pi) = length(pi)
+    # prefixes of pi in weak order: length(u) + length(u^-1 pi) = length(pi).
+    # Only length-increasing letters are taken, so length(current) is
+    # len(chosen).
     def rec(pos: int, chosen: tuple, current) -> None:
-        if cox.length(current) == target_len:
+        if len(chosen) == target_len:
             if current == pi:
                 reduced_subwords.append(frozenset(chosen))
             return
-        if len(word) - pos < target_len - cox.length(current):
+        if len(word) - pos < target_len - len(chosen):
             return
         if pos == len(word):
             return
         rec(pos + 1, chosen, current)
         nxt = cox.right_mul(current, word[pos])
-        if cox.length(nxt) > cox.length(current) and (
+        if cox.length(nxt) > len(chosen) and (
             cox.weak_prefix is None or cox.weak_prefix(nxt, pi)
         ):
             rec(pos + 1, chosen + (pos,), nxt)

@@ -204,7 +204,7 @@ def test_truncated_demazure_identity_on_generating_functions():
 
     def truncate(f, limit):
         return poly.LaurentPoly(
-            {m: c for m, c in f.terms.items() if sum(e for _, e in m) <= limit}
+            {m: c for m, c in f.terms.items() if sum(e for _, e in poly.exponents(m)) <= limit}
         )
 
     for w in perm.all_perms(n):

@@ -60,6 +60,23 @@ def test_malformed_dream_is_usage_error(capsys, dream):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("row", ["0", "9", "-1"])
+def test_mitosis_row_out_of_range_is_usage_error(capsys, row):
+    dream = '{"n":4,"crosses":[[1,1],[1,2],[2,1]]}'
+    code, out, err = run(capsys, "mitosis", "--row", row, "--dream", dream)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --row")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["schubert", "grothendieck"])
+def test_double_family_past_size_guard_exits_2(capsys, verb):
+    code, out, err = run(capsys, verb, "21436587", "--double")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: double_")
+    assert "Traceback" not in err
+
+
 def test_ideal_verb(capsys):
     code, out, _ = run(capsys, "ideal", "2143", "--json")
     assert code == 0

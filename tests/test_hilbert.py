@@ -166,7 +166,7 @@ def test_positivity_structurally():
         jw = ideal.antidiagonal_ideal(w)
         c = hilbert.multidegree_of_ideal(jw, "z2n")
         for mono, coeff in c.terms.items():
-            ydeg = sum(e for v, e in mono if v[0] == "y")
+            ydeg = sum(e for v, e in poly.exponents(mono) if v[0] == "y")
             assert coeff * (-1) ** ydeg > 0
 
 
@@ -210,3 +210,18 @@ def test_exp_weight_table():
     assert hilbert.exp_weight("zn", (2, 3)) == {xvar(2): 1}
     assert hilbert.exp_weight("z2n", (2, 3)) == {xvar(2): 1, yvar(3): -1}
     assert hilbert.exp_weight("zn2", (2, 3)) == {zvar(2, 3): 1}
+
+
+def test_truncated_multidegree_equals_exact_zn2():
+    # Theorem A's route expands K(1 - z) only up to degree l(w); the lowest
+    # degree part it keeps is the exact one for all of S4 and S5 up to length 5
+    ws = list(perm.all_perms(4)) + [w for w in perm.all_perms(5) if perm.length(w) <= 5]
+    for w in ws:
+        k = hilbert.k_polynomial(ideal.antidiagonal_ideal(w), "zn2")
+        exact = hilbert.multidegree(k, "zn2")
+        assert hilbert.multidegree(k, "zn2", codim=perm.length(w)) == exact
+        assert hilbert.multidegree(k, "zn2", codim=perm.length(w) + 2) == exact
+        if perm.length(w):
+            # a lowest degree above the bound leaves nothing, which raises
+            with pytest.raises(ValueError):
+                hilbert.multidegree(k, "zn2", codim=perm.length(w) - 1)

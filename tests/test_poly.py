@@ -1,9 +1,13 @@
+import json
 import random
+from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from schubert import perm, poly
-from schubert.poly import LaurentPoly, ONE, xvar, yvar, zvar
+from schubert import hilbert, ideal, perm, poly
+from schubert.limits import SizeGuardError
+from schubert.poly import LaurentPoly, ONE, TVAR, xvar, yvar, zvar
 
 
 def x(i):
@@ -216,3 +220,318 @@ def test_poly_str_and_json_roundtrip():
 def test_poly_str_signs():
     f = ONE - x(1) - LaurentPoly.const(2) * mono(x1=1, x2=1)
     assert poly.poly_str(f) == "-2*x1*x2 - x1 + 1"
+
+
+# -- the packed kernel against a reference kernel ---------------------------------
+#
+# The reference keeps a polynomial as a dict from monomials, sorted tuples of
+# (variable, exponent) pairs, to nonzero coefficients, and does the
+# arithmetic on exponent dicts: the representation the packed kernel
+# replaced.
+
+KERNEL = settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+MAX_INDEX = 12  # shells above 9 and z10_3-style names
+
+
+def ref_canon(exps):
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def ref_clean(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def ref_of(f):
+    return {poly.exponents(m): c for m, c in f.terms.items()}
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            d = dict(m1)
+            for v, e in m2:
+                d[v] = d.get(v, 0) + e
+            key = ref_canon(d)
+            out[key] = out.get(key, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(p, k):
+    out = {(): 1}
+    for _ in range(k):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_swap_x(p, i):
+    out = {}
+    for m, c in p.items():
+        d = dict(m)
+        a, b = d.pop(xvar(i), 0), d.pop(xvar(i + 1), 0)
+        d[xvar(i)], d[xvar(i + 1)] = b, a
+        out[ref_canon(d)] = c
+    return out
+
+
+def ref_divided_difference(i, p):
+    out = {}
+    for m, c in p.items():
+        d = dict(m)
+        a, b = d.pop(xvar(i), 0), d.pop(xvar(i + 1), 0)
+        sign = 1 if a > b else -1
+        for k in range(min(a, b), max(a, b)):
+            d2 = dict(d)
+            d2[xvar(i)], d2[xvar(i + 1)] = k, a + b - 1 - k
+            key = ref_canon(d2)
+            out[key] = out.get(key, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_demazure(i, p):
+    shifted = ref_mul({((xvar(i + 1), 1),): 1}, p)
+    return {m: -c for m, c in ref_divided_difference(i, shifted).items()}
+
+
+def ref_subs_monomial(p, mapping):
+    out = {}
+    for m, c in p.items():
+        d = {}
+        for v, e in m:
+            for v2, e2 in mapping.get(v, {v: 1}).items():
+                d[v2] = d.get(v2, 0) + e2 * e
+        key = ref_canon(d)
+        out[key] = out.get(key, 0) + c
+    return ref_clean(out)
+
+
+def ref_subs_poly(p, mapping):
+    out = {}
+    for m, c in p.items():
+        acc = {(): c}
+        residual = {}
+        for v, e in m:
+            if v in mapping:
+                acc = ref_mul(acc, ref_pow(mapping[v], e))
+            else:
+                residual[v] = e
+        out = ref_add(out, ref_mul(acc, {ref_canon(residual): 1}))
+    return out
+
+
+def ref_degree(m):
+    return sum(e for _, e in m)
+
+
+def ref_one_minus_substitute(p, blocks, bound):
+    out = {}
+    for m, c in p.items():
+        acc = {ref_canon({v: e for v, e in m if v[0] not in blocks}): c}
+        for v, e in m:
+            if v[0] not in blocks:
+                continue
+            if e >= 0:
+                top = e if bound is None else min(e, bound)
+                fac = {ref_canon({v: k}): (-1) ** k * comb(e, k) for k in range(top + 1)}
+            else:
+                fac = {ref_canon({v: k}): comb(-e + k - 1, k) for k in range(bound + 1)}
+            acc = ref_mul(acc, fac)
+            if bound is not None:
+                acc = {k: c2 for k, c2 in acc.items() if ref_degree(k) <= bound}
+        out = ref_add(out, acc)
+    return out
+
+indices = st.integers(1, MAX_INDEX)
+variables = st.one_of(
+    st.builds(xvar, indices),
+    st.builds(yvar, indices),
+    st.builds(zvar, indices, indices),
+    st.just(TVAR),
+)
+
+
+def raw_polys(lo=-3, hi=3, max_terms=5):
+    exps = st.dictionaries(variables, st.integers(lo, hi), max_size=4)
+    return st.lists(st.tuples(exps, st.integers(-5, 5)), max_size=max_terms)
+
+
+def build(raw):
+    out = poly.ZERO
+    for exps, c in raw:
+        out = out + LaurentPoly.monomial(exps, c)
+    return out
+
+
+def ref_build(raw):
+    out = {}
+    for exps, c in raw:
+        out = ref_add(out, {ref_canon(exps): c})
+    return out
+
+
+@KERNEL
+@given(raw_polys(), raw_polys(), st.integers(0, 3))
+def test_ring_operations_match_reference(rf, rg, k):
+    f, g = build(rf), build(rg)
+    pf, pg = ref_build(rf), ref_build(rg)
+    assert ref_of(f) == pf
+    assert ref_of(f + g) == ref_add(pf, pg)
+    assert ref_of(f - g) == ref_add(pf, pg, -1)
+    assert ref_of(-f) == {m: -c for m, c in pf.items()}
+    assert ref_of(f * g) == ref_mul(pf, pg)
+    assert ref_of(f * 3) == ref_of(3 * f) == {m: 3 * c for m, c in pf.items()}
+    assert ref_of(f ** k) == ref_pow(pf, k)
+    assert (f == g) == (pf == pg)
+
+
+@KERNEL
+@given(raw_polys(), st.integers(1, MAX_INDEX - 1))
+def test_x_operators_match_reference(rf, i):
+    f, pf = build(rf), ref_build(rf)
+    assert ref_of(f.swap_x(i)) == ref_swap_x(pf, i)
+    assert ref_of(poly.divided_difference(i, f)) == ref_divided_difference(i, pf)
+    assert ref_of(poly.demazure(i, f)) == ref_demazure(i, pf)
+
+
+@KERNEL
+@given(
+    raw_polys(),
+    st.dictionaries(variables, st.dictionaries(variables, st.integers(-2, 2), max_size=3), max_size=3),
+)
+def test_subs_monomial_matches_reference(rf, mapping):
+    f = build(rf)
+    assert ref_of(f.subs_monomial(mapping)) == ref_subs_monomial(ref_build(rf), mapping)
+
+
+@KERNEL
+@given(raw_polys(lo=0), st.dictionaries(variables, raw_polys(max_terms=3), max_size=3))
+def test_subs_poly_matches_reference(rf, raw_mapping):
+    f = build(rf)
+    mapping = {v: build(r) for v, r in raw_mapping.items()}
+    ref_mapping = {v: ref_build(r) for v, r in raw_mapping.items()}
+    assert ref_of(f.subs_poly(mapping)) == ref_subs_poly(ref_build(rf), ref_mapping)
+
+
+blocks = st.sets(st.sampled_from("xyzt"), min_size=1)
+
+
+@KERNEL
+@given(raw_polys(lo=0), blocks)
+def test_one_minus_substitute_matches_reference(rf, bl):
+    f = build(rf)
+    expected = ref_one_minus_substitute(ref_build(rf), bl, None)
+    assert ref_of(poly.one_minus_substitute(f, bl)) == expected
+
+
+@KERNEL
+@given(raw_polys(), blocks, st.integers(0, 6))
+def test_truncated_one_minus_substitute_matches_reference(rf, bl, bound):
+    f = build(rf)
+    expected = ref_one_minus_substitute(ref_build(rf), bl, bound)
+    assert ref_of(poly.one_minus_substitute(f, bl, bound=bound)) == expected
+
+
+@KERNEL
+@given(raw_polys(), blocks)
+def test_queries_match_reference(rf, bl):
+    f, pf = build(rf), ref_build(rf)
+    assert f.variables() == {v for m in pf for v, _ in m}
+    assert f.has_negative_exponent(bl) == any(
+        e < 0 for m in pf for v, e in m if v[0] in bl
+    )
+    if pf:
+        low = min(map(ref_degree, pf))
+        assert f.min_total_degree() == low
+        assert ref_of(poly.lowest_degree_terms(f)) == {
+            m: c for m, c in pf.items() if ref_degree(m) == low
+        }
+
+
+@KERNEL
+@given(raw_polys())
+def test_json_roundtrip(rf):
+    f = build(rf)
+    assert poly.poly_from_jsonable(poly.poly_to_jsonable(f)) == f
+    assert poly.poly_from_jsonable(json.loads(poly.poly_to_json(f))) == f
+
+
+def test_exponents_decode_every_block():
+    f = LaurentPoly.monomial({zvar(10, 3): 2, zvar(3, 10): -1, yvar(12): -3, xvar(1): 1, TVAR: 4})
+    (m,) = f.terms
+    assert poly.exponents(m) == (
+        (TVAR, 4), (xvar(1), 1), (yvar(12), -3), (zvar(3, 10), -1), (zvar(10, 3), 2)
+    )
+    assert poly.poly_str(f) == "x1*y12^-3*z3_10^-1*z10_3^2*t^4"
+
+
+def test_not_a_variable():
+    for v in [("x", 0), ("y", -1), ("z", 1), ("w", 1), ("z", 0, 2)]:
+        with pytest.raises(ValueError):
+            LaurentPoly.variable(v)
+
+
+def test_equality_across_n():
+    # the variable index does not depend on n: families of w and of w
+    # embedded in a larger symmetric group are equal term by term
+    for w in perm.all_perms(3):
+        w5 = perm.embed(w, 5)
+        for family in (poly.schubert, poly.grothendieck, poly.double_schubert, poly.double_grothendieck):
+            assert family(w5) == family(w)
+            assert family(w5).terms == family(w).terms
+    k3 = hilbert.k_polynomial(ideal.antidiagonal_ideal((1, 3, 2)), "zn2")
+    k4 = hilbert.k_polynomial(ideal.antidiagonal_ideal((1, 3, 2, 4)), "zn2")
+    assert k3 == k4
+
+
+def test_overflow_at_the_field_limit():
+    top = 2**15 - 1
+    big = LaurentPoly.monomial({xvar(1): top})
+    assert poly.exponents(next(iter(big.terms))) == ((xvar(1), top),)
+    assert x(1) ** top == big
+    for exps in ({xvar(1): top + 1}, {yvar(2): -top - 1}, {xvar(1): 20000, xvar(2): 20000}):
+        with pytest.raises(OverflowError):
+            LaurentPoly.monomial(exps)
+    with pytest.raises(OverflowError):
+        big * x(1)  # the exponent of x1
+    with pytest.raises(OverflowError):
+        big * x(2)  # the total degree
+    with pytest.raises(OverflowError):
+        x(1) ** (top + 1)
+    assert ref_of(big * LaurentPoly.monomial({yvar(1): -1})) == {((xvar(1), top), (yvar(1), -1)): 1}
+    low = LaurentPoly.monomial({xvar(1): 1, yvar(1): -top, yvar(2): -1})
+    with pytest.raises(OverflowError):
+        poly.divided_difference(1, low)  # the degree drops to -2^15
+    with pytest.raises(OverflowError):
+        LaurentPoly.monomial({xvar(1): 2**13}).subs_monomial({xvar(1): {xvar(2): 4}})
+    with pytest.raises(OverflowError):
+        poly.one_minus_substitute(LaurentPoly.monomial({yvar(1): -1}), ("y",), bound=2**15)
+    with pytest.raises(OverflowError):
+        poly.poly_from_jsonable([{"coeff": 1, "exps": {"x1": 2**15}}])
+
+
+def test_double_families_have_a_size_guard(monkeypatch):
+    computed = []
+    for name in ("_double_schubert", "_double_grothendieck"):
+        monkeypatch.setattr(poly, name, computed.append)
+    w7 = (2, 1, 4, 3, 6, 5, 7)
+    poly.double_schubert(w7)
+    poly.double_grothendieck(w7)
+    assert computed == [w7, w7]  # n = 7 still reaches the expansion
+    for family in (poly.double_schubert, poly.double_grothendieck):
+        with pytest.raises(SizeGuardError):
+            family(perm.embed(w7, 8))
+    assert computed == [w7, w7]
