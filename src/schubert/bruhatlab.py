@@ -166,14 +166,6 @@ def _box_cell(i: int, start: int, k: int) -> Cell:
     return (i, col) if k % 2 == 1 else (i + 1, col)
 
 
-def gene_dissection(i: int, w: Perm, b: ExponentArray) -> GeneDissection:
-    """Split the gene into promoter, codons, exons, and introns."""
-    start = start_codon(i, w, b)
-    if start == 0:
-        raise ValueError("z^b lies in J_w; the gene has no dissection")
-    return dissect_gene(i, start, b)
-
-
 def dissect_gene(i: int, start: int, b: ExponentArray) -> GeneDissection:
     """Dissection for a given start codon column (independent of any w).
 

@@ -1,5 +1,6 @@
-"""K-polynomials and multidegrees of monomial quotients of k[z11..znn] under
-the four gradings, grading coarsening, and the Schubert identity checks.
+"""K-polynomials and multidegrees of squarefree monomial quotients of
+k[z11..znn] under the four gradings, grading coarsening, and the Schubert
+identity checks.
 
 Grading tags (the CLI spelling): "zn2" is the finest grading (weight of z_ij
 is z_ij itself), then "z2n" (x_i/y_j), "zn" (x_i), and "z" (t).  exp_weight
@@ -11,9 +12,10 @@ K-polynomials come from the pivot recursion
 
     K(R/I) = K(R/(I + <v>)) + wt(v) * K(R/(I : v))
 
-pivoting on the variable most frequent among the generators; the base case,
-an ideal generated by powers of distinct variables, is the Koszul product
-prod (1 - wt(v)^e).
+pivoting on the variable most frequent among the generators.  Generators
+are supports (frozensets of cells), and both sides stay squarefree: I + <v>
+adds a variable and I : v deletes one.  The base case, an ideal generated
+by distinct variables, is the Koszul product prod (1 - wt(v)).
 
 Coarsening is one substitution out of the finest grading: a zn2 K-polynomial
 or multidegree specialises to any grading by sending each z_ij to its
@@ -33,9 +35,6 @@ from .poly import ONE, LaurentPoly, TVAR, xvar, yvar, zvar
 
 Cell = tuple[int, int]
 GRADINGS = ("zn2", "z2n", "zn", "z")  # finest to coarsest
-
-# a generator is a sorted tuple of ((i, j), exponent) pairs
-GenMono = tuple
 
 
 def exp_weight(grading: str, cell: Cell) -> dict:
@@ -60,19 +59,6 @@ def ord_weight(grading: str, cell: Cell) -> LaurentPoly:
     return out
 
 
-def _gen_mono(pairs: Iterable[tuple[Cell, int]]) -> GenMono:
-    return tuple(sorted((c, e) for c, e in pairs if e))
-
-
-def _gen_divides(a: GenMono, b: GenMono) -> bool:
-    bd = dict(b)
-    return all(bd.get(c, 0) >= e for c, e in a)
-
-
-def _gen_degree(g: GenMono) -> int:
-    return sum(e for _, e in g)
-
-
 _K_CACHE: dict = {}
 
 
@@ -81,31 +67,21 @@ def _k_of_gens(gens: frozenset, grading: str) -> LaurentPoly:
     hit = _K_CACHE.get(key)
     if hit is not None:
         return hit
-    if not gens:
-        result = ONE
-    elif all(len(g) == 1 for g in gens):
-        result = ONE
-        for g in gens:
-            (cell, e) = g[0]
-            result = result * (ONE - LaurentPoly.monomial(exp_weight(grading, cell)) ** e)
-    else:
-        # pivot on the most frequent cell of the multi-cell generators; a cell
-        # whose own singleton is already a generator would make no progress
-        counts: dict[Cell, int] = {}
-        for g in gens:
-            if len(g) == 1:
-                continue
-            for cell, _ in g:
+    # pivot on the most frequent cell of the multi-cell generators; by
+    # minimality no such cell is also a singleton generator
+    counts: dict[Cell, int] = {}
+    for g in gens:
+        if len(g) > 1:
+            for cell in g:
                 counts[cell] = counts.get(cell, 0) + 1
+    if not counts:
+        result = ONE
+        for (cell,) in gens:
+            result = result * (ONE - LaurentPoly.monomial(exp_weight(grading, cell)))
+    else:
         pivot = min(counts, key=lambda c: (-counts[c], c))
-        plus = ideal_mod.minimalize(
-            set(gens) | {_gen_mono([(pivot, 1)])}, _gen_divides, _gen_degree
-        )
-        colon = ideal_mod.minimalize(
-            (_gen_mono([(c, e - 1 if c == pivot else e) for c, e in g]) for g in gens),
-            _gen_divides,
-            _gen_degree,
-        )
+        plus = frozenset(g for g in gens if pivot not in g) | {frozenset([pivot])}
+        colon = ideal_mod.minimalize(g - {pivot} for g in gens)
         result = _k_of_gens(plus, grading) + LaurentPoly.monomial(
             exp_weight(grading, pivot)
         ) * _k_of_gens(colon, grading)
@@ -113,20 +89,12 @@ def _k_of_gens(gens: frozenset, grading: str) -> LaurentPoly:
     return result
 
 
-def k_polynomial(ideal, grading: str = "zn2") -> LaurentPoly:
-    """K-polynomial of k[z]/ideal in the given grading.
-
-    Accepts a SquarefreeMonomialIdeal or an iterable of generators given as
-    cell-to-exponent mappings (general monomial ideals are fine).
-    """
+def k_polynomial(ideal: SquarefreeMonomialIdeal, grading: str = "zn2") -> LaurentPoly:
+    """K-polynomial of k[z]/ideal in the given grading."""
     if grading not in GRADINGS:
         raise ValueError(f"unknown grading {grading!r}")
-    if isinstance(ideal, SquarefreeMonomialIdeal):
-        size_guard(ideal.n, 6, "k_polynomial")
-        gens = frozenset(_gen_mono((c, 1) for c in g) for g in ideal.generators)
-    else:
-        gens = frozenset(_gen_mono(dict(g).items()) for g in ideal)
-    return _k_of_gens(ideal_mod.minimalize(gens, _gen_divides, _gen_degree), grading)
+    size_guard(ideal.n, 6, "k_polynomial")
+    return _k_of_gens(ideal_mod.minimalize(ideal.generators), grading)
 
 
 def _z_weights(f: LaurentPoly, to: str, weight: Callable) -> dict:
@@ -214,11 +182,12 @@ def divided_difference_identity_check(w: Perm, i: int) -> bool:
     ws = perm.apply_right_transposition(w, i)
     if perm.length(ws) >= perm.length(w):
         raise ValueError("need length(w s_i) < length(w)")
+    fine_w, fine_ws = (
+        multidegree(k_polynomial(ideal_mod.antidiagonal_ideal(u), "zn2"), "zn2")
+        for u in (w, ws)
+    )
     for grading in ("zn", "z2n"):
-        lhs = poly.divided_difference(
-            i, multidegree_of_ideal(ideal_mod.antidiagonal_ideal(w), grading)
-        )
-        rhs = multidegree_of_ideal(ideal_mod.antidiagonal_ideal(ws), grading)
-        if lhs != rhs:
+        lhs = poly.divided_difference(i, coarsen_multidegree(fine_w, grading))
+        if lhs != coarsen_multidegree(fine_ws, grading):
             return False
     return True

@@ -135,9 +135,7 @@ def monomial_in_ideal(support: frozenset, ideal: SquarefreeMonomialIdeal) -> boo
     return any(g <= support for g in ideal.generators)
 
 
-def minimal_covers(
-    generators: Iterable[frozenset], max_size: int | None = None
-) -> set[frozenset]:
+def minimal_covers(generators: Iterable[frozenset]) -> set[frozenset]:
     """All inclusion-minimal hitting sets of a family of nonempty sets.
 
     Branches on the vertices of a smallest unhit set; once a branch vertex is
@@ -151,8 +149,6 @@ def minimal_covers(
     found: set[frozenset] = set()
 
     def rec(chosen: frozenset, remaining: list[frozenset], forbidden: frozenset):
-        if max_size is not None and len(chosen) > max_size:
-            return
         if not remaining:
             found.add(chosen)
             return

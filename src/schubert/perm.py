@@ -69,15 +69,6 @@ def inverse(w: Perm) -> Perm:
     return tuple(inv)
 
 
-def simple_reflection(n: int, i: int) -> Perm:
-    """The adjacent transposition s_i in S_n, 1 <= i <= n-1."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"reflection index {i} out of range for n={n}")
-    w = list(range(1, n + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
-
 def apply_right_transposition(w: Perm, i: int) -> Perm:
     """w * s_i: swap the entries in positions i and i+1."""
     if not 1 <= i <= len(w) - 1:
@@ -93,11 +84,6 @@ def apply_left_transposition(i: int, w: Perm) -> Perm:
         raise ValueError(f"reflection index {i} out of range for n={len(w)}")
     swap = {i: i + 1, i + 1: i}
     return tuple(swap.get(v, v) for v in w)
-
-
-def is_right_descent(w: Perm, i: int) -> bool:
-    """True iff length(w * s_i) < length(w), i.e. w(i) > w(i+1)."""
-    return w[i - 1] > w[i]
 
 
 def descents(w: Perm) -> tuple[int, ...]:

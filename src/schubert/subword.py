@@ -30,8 +30,8 @@ class CoxeterSystem:
     length: Callable = field(compare=False)
     left_mul: Callable = field(compare=False)   # (letter, element) -> element
     right_mul: Callable = field(compare=False)  # (element, letter) -> element
-    # optional search prune: is u a left weak-order prefix of pi?
-    weak_prefix: Callable | None = field(default=None, compare=False)
+    # search prune: is u a left weak-order prefix of pi?
+    weak_prefix: Callable = field(compare=False)
 
 
 def symmetric_group(n: int) -> CoxeterSystem:
@@ -136,9 +136,7 @@ def subword_complex(word: Sequence[int], pi, cox: CoxeterSystem) -> SubwordCompl
             return
         rec(pos + 1, chosen, current)
         nxt = cox.right_mul(current, word[pos])
-        if cox.length(nxt) > len(chosen) and (
-            cox.weak_prefix is None or cox.weak_prefix(nxt, pi)
-        ):
+        if cox.length(nxt) > len(chosen) and cox.weak_prefix(nxt, pi):
             rec(pos + 1, chosen + (pos,), nxt)
 
     rec(0, (), cox.identity)

@@ -33,15 +33,15 @@ def test_criterion_04_theorem_b_s4():
 
 @pytest.mark.slow
 def test_criterion_04_theorem_b_slow():
-    report("criterion-04-slow theorem-b-s5-and-13865742", checks.theorem_b_slow())
+    report("criterion-04-slow theorem-b-s6-and-13865742", checks.theorem_b_slow())
 
 
 def test_criterion_05_prime_decomposition_s5():
     report("criterion-05 prime-decomposition-s5", checks.prime_decomposition(5))
 
 
-def test_criterion_06_theorem_a_s4():
-    report("criterion-06 theorem-a-s4", checks.theorem_a(4))
+def test_criterion_06_theorem_a_s5():
+    report("criterion-06 theorem-a-s5", checks.theorem_a(5))
 
 
 def test_criterion_07_dd_identity_s4():

@@ -27,11 +27,13 @@ def test_k_polynomial_zero_ideal():
         assert hilbert.k_polynomial(j, grading) == ONE
 
 
-def test_k_polynomial_general_monomial_input():
-    # non-squarefree generators: x^2 viewed as the cell (1,1) squared
-    k = hilbert.k_polynomial([{(1, 1): 2}], "zn2")
+def test_k_polynomial_minimalizes_its_input():
+    # z11 divides z11*z22, so the ideal is <z11>
+    j = SquarefreeMonomialIdeal(
+        2, frozenset([frozenset([(1, 1)]), frozenset([(1, 1), (2, 2)])])
+    )
     z11 = LaurentPoly.variable(zvar(1, 1))
-    assert k == ONE - z11 * z11
+    assert hilbert.k_polynomial(j, "zn2") == ONE - z11
 
 
 def test_k_polynomial_evaluates_to_euler_characteristic():

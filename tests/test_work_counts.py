@@ -27,6 +27,23 @@ def test_truncated_multidegree_expansion_count(monkeypatch):
     assert (len(full.terms), sum(formed)) == (27, 4818)
 
 
+def test_k_polynomial_recursion_nodes(monkeypatch):
+    # the pivot recursion for J_w in the zn2 grading, from an empty cache
+    w = (1, 5, 3, 4, 2)
+    monkeypatch.setattr(hilbert, "_K_CACHE", {})
+    calls = []
+    recurse = hilbert._k_of_gens
+
+    def counting(gens, grading):
+        calls.append(gens)
+        return recurse(gens, grading)
+
+    monkeypatch.setattr(hilbert, "_k_of_gens", counting)
+    hilbert.k_polynomial(ideal.antidiagonal_ideal(w), "zn2")
+    assert len(calls) == 19
+    assert len(hilbert._K_CACHE) == len(set(calls))
+
+
 def test_subword_complex_length_calls():
     # the S5 staircase word (rows right to left), facets of w = 15342
     n, w = 5, (1, 5, 3, 4, 2)
