@@ -1,6 +1,13 @@
 """Exponent arrays on the n x n grid: mutation, gene dissection, lifted
 Demazure operators, and intron mutation.
 
+An array keeps its rows as a tuple of row tuples together with its support
+as a cell bitmask, bit (i-1)*n + (j-1) for cell (i, j), computed in the same
+pass that validates the entries.  z^b is standard for J_w exactly when the
+support is a face of the Stanley-Reisner complex of J_w, that is, when no
+generator mask g of J_w has g & mask == g; the standard and start-codon
+tests are those few integer operations.
+
 Fixing a row index i, the gene of an array is the pair of rows i, i+1.  East
 of the start codon the gene is read box by box, alternating rows within each
 column:
@@ -12,44 +19,49 @@ with box 1 the start codon at (i, start) and the last box the stop codon at
 odd box; introns are the full-column blocks between consecutive exons, sharing
 their boundary boxes with the exons.  Intron mutation pushes each intron's
 entries toward row-sum balance, after temporarily adding 1 to both codons so
-every intron has nonzero northwest and southeast corners.
+every intron has nonzero northwest and southeast corners.  It reads and
+rebuilds only the two gene rows: one scan finds the exons, each intron moves
+its whole imbalance column by column, and the other n-2 row tuples are
+shared with the input.  ``dissect_gene`` spells the blocks out for the
+figure check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Sequence
 
 from . import ideal as ideal_mod
 from . import perm, pipedream
-from .ideal import SquarefreeMonomialIdeal
 from .limits import InvariantError, size_guard
 from .perm import Perm
 
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExponentArray:
     n: int
     rows: tuple  # rows[i-1][j-1] = exponent at cell (i, j)
+    _mask: int = field(init=False, repr=False, compare=False)  # support bits
 
     def __post_init__(self):
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
+        n = self.n
+        if len(self.rows) != n:
             raise ValueError("entries must form an n x n array")
-        if any(e < 0 for r in self.rows for e in r):
-            raise ValueError("exponents must be nonnegative")
-        object.__setattr__(
-            self,
-            "_support",
-            frozenset(
-                (i, j)
-                for i, row in enumerate(self.rows, start=1)
-                for j, e in enumerate(row, start=1)
-                if e
-            ),
-        )
+        mask, bit = 0, 1
+        for row in self.rows:
+            if len(row) != n:
+                raise ValueError("entries must form an n x n array")
+            for e in row:
+                if e:
+                    if e < 0:
+                        raise ValueError("exponents must be nonnegative")
+                    mask |= bit
+                bit <<= 1
+        object.__setattr__(self, "_mask", mask)
 
     @classmethod
     def zero(cls, n: int) -> "ExponentArray":
@@ -73,29 +85,55 @@ class ExponentArray:
         return ExponentArray(self.n, tuple(tuple(k * e for e in r) for r in self.rows))
 
     def support(self) -> frozenset:
-        return self._support
+        n, mask = self.n, self._mask
+        return frozenset(
+            (k // n + 1, k % n + 1) for k in range(n * n) if mask >> k & 1
+        )
 
     def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(r[j] for r in self.rows) for j in range(self.n))
+        return tuple(map(sum, zip(*self.rows)))
 
 
 def west(b: ExponentArray, row: int) -> int | None:
     """Column of the westernmost nonzero entry of the row, None if empty."""
-    return next((j for j in range(1, b.n + 1) if b.get(row, j)), None)
+    return next((j for j, e in enumerate(b.rows[row - 1], start=1) if e), None)
 
 
-def _ideal_of(w: Perm) -> SquarefreeMonomialIdeal:
-    return ideal_mod.antidiagonal_ideal(perm.validate(w))
+def _with_gene(b: ExponentArray, i: int, top: list, bottom: list) -> ExponentArray:
+    """b with rows i and i+1 replaced; the other row tuples are shared."""
+    return ExponentArray(b.n, b.rows[: i - 1] + (tuple(top), tuple(bottom)) + b.rows[i + 1 :])
+
+
+def _cell_mask(cells: Iterable[Cell], n: int) -> int:
+    return sum(1 << (i - 1) * n + (j - 1) for (i, j) in cells)
 
 
 @cache
-def _support_standard(support: frozenset, w: Perm) -> bool:
-    return not ideal_mod.monomial_in_ideal(support, _ideal_of(w))
+def _generator_masks(w: Perm, n: int) -> tuple[int, ...]:
+    """Masks of the generators of J_w on the n x n grid; a generator with a
+    cell outside the grid divides no array there and is left out.
+
+    Building J_w validates w, so a w that is not a permutation raises here
+    and is never cached: each w is validated once, not once per test.
+    """
+    return tuple(
+        _cell_mask(g, n)
+        for g in ideal_mod.antidiagonal_ideal(w).generators
+        if all(i <= n and j <= n for (i, j) in g)
+    )
+
+
+def _avoids(mask: int, gens: tuple[int, ...]) -> bool:
+    """True iff no generator mask lies inside ``mask``."""
+    for g in gens:
+        if g & mask == g:
+            return False
+    return True
 
 
 def standard_test(b: ExponentArray, w: Perm) -> bool:
     """True iff no antidiagonal generator of J_w divides z^b."""
-    return _support_standard(b.support(), perm.validate(w))
+    return _avoids(b._mask, _generator_masks(tuple(w), b.n))
 
 
 def mutate(i: int, b: ExponentArray) -> ExponentArray:
@@ -103,25 +141,27 @@ def mutate(i: int, b: ExponentArray) -> ExponentArray:
     p = west(b, i + 1)
     if p is None:
         raise ValueError(f"row {i + 1} is identically zero; cannot mutate")
-    rows = [list(r) for r in b.rows]
-    rows[i][p - 1] -= 1
-    rows[i - 1][p - 1] += 1
-    return ExponentArray.from_rows(rows)
+    top, bottom = list(b.rows[i - 1]), list(b.rows[i])
+    bottom[p - 1] -= 1
+    top[p - 1] += 1
+    return _with_gene(b, i, top, bottom)
 
 
 def start_codon(i: int, w: Perm, b: ExponentArray) -> int:
     """min{p : z_ip * z^b not in J_w}, or 0 when z^b itself lies in J_w."""
-    return _support_start_codon(i, perm.validate(w), b.support(), b.n)
+    return _start_codon(i, tuple(w), b._mask, b.n)
 
 
 @cache
-def _support_start_codon(i: int, w: Perm, support: frozenset, n: int) -> int:
-    jw = _ideal_of(w)
-    if ideal_mod.monomial_in_ideal(support, jw):
+def _start_codon(i: int, w: Perm, mask: int, n: int) -> int:
+    gens = _generator_masks(w, n)
+    if not _avoids(mask, gens):
         return 0
+    bit = 1 << (i - 1) * n
     for p in range(1, n + 1):
-        if not ideal_mod.monomial_in_ideal(support | {(i, p)}, jw):
+        if _avoids(mask | bit, gens):
             return p
+        bit <<= 1
     raise InvariantError("z_{i,n} z^b lies in J_w for a standard z^b")
 
 
@@ -130,7 +170,7 @@ def promoter_size(i: int, w: Perm, b: ExponentArray) -> int:
     start = start_codon(i, w, b)
     if start == 0:
         raise ValueError("z^b lies in J_w; the promoter is undefined")
-    return sum(b.get(i + 1, j) for j in range(1, start))
+    return sum(b.rows[i][: start - 1])
 
 
 def lifted_demazure(i: int, w: Perm, b: ExponentArray) -> list[ExponentArray]:
@@ -147,6 +187,42 @@ def lifted_demazure(i: int, w: Perm, b: ExponentArray) -> list[ExponentArray]:
     return out
 
 
+def standard_arrays(w: Perm, max_entry: int) -> list[ExponentArray]:
+    """Every array with entries 0..max_entry that is standard for J_w, once.
+
+    The supports are the faces of the Stanley-Reisner complex of J_w (the
+    subsets of its facets); each face carries every choice of entries
+    1..max_entry on its cells, row by row.  There are up to
+    (max_entry + 1)^(n^2) of them, so n is capped at 4.
+    """
+    w = perm.validate(w)
+    n = len(w)
+    size_guard(n, 4, "standard_arrays")
+    faces = set()
+    for facet in ideal_mod.stanley_reisner_facets(ideal_mod.antidiagonal_ideal(w)):
+        full = face = _cell_mask(facet, n)
+        while True:  # every submask of the facet, down to the empty face
+            faces.add(face)
+            if not face:
+                break
+            face = (face - 1) & full
+    row_bits = (1 << n) - 1
+    return [
+        ExponentArray(n, rows)
+        for face in sorted(faces)
+        for rows in itertools.product(
+            *(_rows_on(face >> r & row_bits, n, max_entry) for r in range(0, n * n, n))
+        )
+    ]
+
+
+@cache
+def _rows_on(bits: int, n: int, max_entry: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of length n with entries 1..max_entry where bits is set, 0 elsewhere."""
+    entries = range(1, max_entry + 1)
+    return tuple(itertools.product(*(entries if bits >> j & 1 else (0,) for j in range(n))))
+
+
 # -- gene dissection ----------------------------------------------------------
 
 
@@ -160,12 +236,6 @@ class GeneDissection:
     stop_codon: Cell                      # (row + 1, n)
 
 
-def _box_cell(i: int, start: int, k: int) -> Cell:
-    """Cell of 1-based box k in the gene numbering east of the start codon."""
-    col = start + (k - 1) // 2
-    return (i, col) if k % 2 == 1 else (i + 1, col)
-
-
 def dissect_gene(i: int, start: int, b: ExponentArray) -> GeneDissection:
     """Dissection for a given start codon column (independent of any w).
 
@@ -173,21 +243,19 @@ def dissect_gene(i: int, start: int, b: ExponentArray) -> GeneDissection:
     corners are nonzero; adjacent exon/intron blocks share boundary boxes.
     """
     n = b.n
-    boxes = 2 * (n - start + 1)
-
-    def val(k: int) -> int:
-        v = b.get(*_box_cell(i, start, k))
-        if k == 1 or k == boxes:
-            v += 1
-        return v
-
-    nonzero = [k for k in range(1, boxes + 1) if val(k)]
+    top, bottom = b.rows[i - 1], b.rows[i]
+    boxes = []  # boxes[k - 1] is the entry in box k
+    for c in range(start - 1, n):
+        boxes += (top[c], bottom[c])
+    boxes[0] += 1
+    boxes[-1] += 1
+    nonzero = [k for k, v in enumerate(boxes, start=1) if v]
     exons = []
     for a, c in zip(nonzero, nonzero[1:]):
         if a % 2 == 0 and c % 2 == 1:
             exons.append((a, c))
     intron_starts = [1] + [c for (_, c) in exons]
-    intron_ends = [a for (a, _) in exons] + [boxes]
+    intron_ends = [a for (a, _) in exons] + [len(boxes)]
     introns = []
     for o, e in zip(intron_starts, intron_ends):
         col_lo = start + (o - 1) // 2
@@ -203,20 +271,23 @@ def dissect_gene(i: int, start: int, b: ExponentArray) -> GeneDissection:
     )
 
 
-def _mutate_intron(top: list[int], bottom: list[int]) -> tuple[list[int], list[int]]:
-    """Balance a 2 x k intron: move units toward the row with smaller sum,
-    rotating 180 degrees first when the top dominates."""
-    c_top, c_bot = sum(top), sum(bottom)
-    d = abs(c_top - c_bot)
-    if c_top > c_bot:
-        top, bottom = list(reversed(bottom)), list(reversed(top))
-    for _ in range(d):
-        p = next(j for j, e in enumerate(bottom) if e)
-        bottom[p] -= 1
-        top[p] += 1
-    if c_top > c_bot:
-        top, bottom = list(reversed(bottom)), list(reversed(top))
-    return top, bottom
+def _balance_intron(top: list[int], bottom: list[int], lo: int, hi: int, d: int) -> None:
+    """Move the imbalance d = (bottom sum) - (top sum) of the intron in
+    0-based columns lo..hi across it, in place: from the bottom row's
+    westernmost units up when the bottom dominates, from the top row's
+    easternmost units down (the same rule after a 180-degree rotation) when
+    the top does."""
+    if d > 0:
+        src, dst, cols = bottom, top, range(lo, hi + 1)
+    else:
+        src, dst, cols, d = top, bottom, range(hi, lo - 1, -1), -d
+    for p in cols:
+        move = min(d, src[p])
+        src[p] -= move
+        dst[p] += move
+        d -= move
+        if not d:
+            return
 
 
 def intron_mutation(i: int, w: Perm, b: ExponentArray) -> ExponentArray:
@@ -232,17 +303,30 @@ def intron_mutation(i: int, w: Perm, b: ExponentArray) -> ExponentArray:
 
 def intron_mutation_at(i: int, start: int, b: ExponentArray) -> ExponentArray:
     """Intron mutation for a given start codon column (independent of any w)."""
-    dissection = dissect_gene(i, start, b)
-    rows = [list(r) for r in b.rows]
-    rows[i - 1][start - 1] += 1
-    rows[i][b.n - 1] += 1
-    for (lo, hi) in dissection.intron_columns:
-        top, bottom = _mutate_intron(rows[i - 1][lo - 1 : hi], rows[i][lo - 1 : hi])
-        rows[i - 1][lo - 1 : hi] = top
-        rows[i][lo - 1 : hi] = bottom
-    rows[i - 1][start - 1] -= 1
-    rows[i][b.n - 1] -= 1
-    return ExponentArray.from_rows(rows)
+    n = b.n
+    top, bottom = list(b.rows[i - 1]), list(b.rows[i])
+    top[start - 1] += 1
+    bottom[n - 1] += 1
+    # one scan west to east; the open intron starts at column lo and its row
+    # sums so far are up and down
+    lo, up, down = start - 1, 0, 0
+    after_bottom = -1  # column of the last nonzero box when it is a bottom box
+    for c in range(start - 1, n):
+        if top[c]:
+            if after_bottom >= 0:  # an exon ends here: close the intron
+                if up != down:
+                    _balance_intron(top, bottom, lo, after_bottom, down - up)
+                lo, up, down = c, 0, 0
+            after_bottom = -1
+            up += top[c]
+        if bottom[c]:
+            after_bottom = c
+            down += bottom[c]
+    if up != down:
+        _balance_intron(top, bottom, lo, n - 1, down - up)
+    top[start - 1] -= 1
+    bottom[n - 1] -= 1
+    return _with_gene(b, i, top, bottom)
 
 
 # -- bridge to mitosis on facets ------------------------------------------------

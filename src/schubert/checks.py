@@ -11,7 +11,6 @@ import itertools
 
 from . import bruhatlab, grobner, hilbert, ideal, perm, pipedream, poly, subword
 from .bruhatlab import ExponentArray
-from .perm import Perm
 from .poly import LaurentPoly, ONE, xvar, yvar
 
 
@@ -252,19 +251,10 @@ def subword_checks(n: int = 4) -> tuple[bool, str]:
 # -- criterion 9: the Part-3 suites ---------------------------------------------------
 
 
-def _standard_arrays(n: int, w: Perm, max_entry: int):
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    for values in itertools.product(range(max_entry + 1), repeat=n * n):
-        rows = [list(values[r * n : (r + 1) * n]) for r in range(n)]
-        b = ExponentArray.from_rows(rows)
-        if bruhatlab.standard_test(b, w):
-            yield b
-
-
 def tau_involution(n: int = 3, max_entry: int = 2) -> tuple[bool, str]:
     checked = 0
     for w in perm.all_perms(n):
-        arrays = list(_standard_arrays(n, w, max_entry))
+        arrays = bruhatlab.standard_arrays(w, max_entry)
         for i in range(1, n):
             for b in arrays:
                 tb = bruhatlab.intron_mutation(i, w, b)

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from schubert import bruhatlab, checks, ideal, perm, poly
 from schubert.bruhatlab import ExponentArray
@@ -20,10 +21,6 @@ def all_arrays(n, max_entry):
         yield ExponentArray.from_rows(
             [values[r * n : (r + 1) * n] for r in range(n)]
         )
-
-
-def standard_arrays(n, w, max_entry):
-    return [b for b in all_arrays(n, max_entry) if bruhatlab.standard_test(b, w)]
 
 
 def test_standard_test_examples():
@@ -114,7 +111,7 @@ def test_lemma_outside_small():
     for w in perm.all_perms(n):
         for i in perm.descents(w):
             ws = perm.apply_right_transposition(w, i)
-            for b in standard_arrays(n, w, 1):
+            for b in bruhatlab.standard_arrays(w, 1):
                 chain = bruhatlab.lifted_demazure(i, w, b)
                 for arr in chain[1:]:
                     assert not bruhatlab.standard_test(arr, w)
@@ -127,7 +124,7 @@ def test_lemma_unique_small():
     for w in perm.all_perms(n):
         for i in perm.descents(w):
             seen = {}
-            for b in standard_arrays(n, w, 1):
+            for b in bruhatlab.standard_arrays(w, 1):
                 for d, arr in enumerate(bruhatlab.lifted_demazure(i, w, b)):
                     if d == 0:
                         continue
@@ -158,7 +155,7 @@ def test_intron_mutation_x_weight_property():
     n = 3
     for w in perm.all_perms(n):
         for i in perm.descents(w):
-            for b in standard_arrays(n, w, 2):
+            for b in bruhatlab.standard_arrays(w, 2):
                 l = bruhatlab.promoter_size(i, w, b)
                 tb = bruhatlab.intron_mutation(i, w, b)
 
@@ -216,8 +213,9 @@ def test_truncated_demazure_identity_on_generating_functions():
 
 
 def test_thm_ev_truncated():
-    ok, detail = checks.thm_ev_truncated(3, 4)
-    assert ok, detail
+    for n in (3, 4):
+        ok, detail = checks.thm_ev_truncated(n, 4)
+        assert ok, detail
 
 
 def test_mitosis_facet_bridge_s4():
@@ -242,3 +240,142 @@ def test_exponent_array_validation():
         ExponentArray.from_rows([[0, 1], [2]])
     with pytest.raises(ValueError):
         ExponentArray.from_rows([[0, -1], [0, 0]])
+
+
+def test_support_reads_the_mask():
+    b = ExponentArray.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, 3]])
+    assert b.support() == frozenset({(1, 2), (2, 1), (3, 3)})
+    assert b._mask == 1 << 1 | 1 << 3 | 1 << 8
+
+
+# -- standard arrays from the faces of the complex ---------------------------------
+
+
+def test_standard_arrays_match_the_filter():
+    # the filter: every array with entries 0..max_entry, kept when no
+    # generator of J_w divides it
+    counts = {}
+    for n in (2, 3):
+        for max_entry in (1, 2):
+            universe = [(b, b.support()) for b in all_arrays(n, max_entry)]
+            for w in perm.all_perms(n):
+                jw = ideal.antidiagonal_ideal(w)
+                arrays = bruhatlab.standard_arrays(w, max_entry)
+                assert len(arrays) == len(set(arrays))
+                assert set(arrays) == {
+                    b for b, support in universe if not ideal.monomial_in_ideal(support, jw)
+                }
+                counts[w, max_entry] = len(arrays)
+    s3 = [counts[w, 2] for w in perm.all_perms(3)]
+    assert sum(s3) == 42282
+    assert max(s3) == 3**9  # the identity: J_w = 0, every array is standard
+
+
+# -- the gene-only kernel against the dissection ------------------------------------
+#
+# The reference locates the introns with dissect_gene on the whole array and
+# moves one unit at a time, as the paper describes intron mutation.
+
+
+def reference_mutate_intron(top, bottom):
+    c_top, c_bot = sum(top), sum(bottom)
+    if c_top > c_bot:
+        top, bottom = list(reversed(bottom)), list(reversed(top))
+    for _ in range(abs(c_top - c_bot)):
+        p = next(j for j, e in enumerate(bottom) if e)
+        bottom[p] -= 1
+        top[p] += 1
+    if c_top > c_bot:
+        top, bottom = list(reversed(bottom)), list(reversed(top))
+    return top, bottom
+
+
+def reference_intron_mutation_at(i, start, b):
+    # the rows of the mutated array
+    dissection = bruhatlab.dissect_gene(i, start, b)
+    rows = [list(r) for r in b.rows]
+    rows[i - 1][start - 1] += 1
+    rows[i][b.n - 1] += 1
+    for (lo, hi) in dissection.intron_columns:
+        top, bottom = reference_mutate_intron(rows[i - 1][lo - 1 : hi], rows[i][lo - 1 : hi])
+        rows[i - 1][lo - 1 : hi] = top
+        rows[i][lo - 1 : hi] = bottom
+    rows[i - 1][start - 1] -= 1
+    rows[i][b.n - 1] -= 1
+    return tuple(tuple(r) for r in rows)
+
+
+def reference_start_codon(i, w, b):
+    jw = ideal.antidiagonal_ideal(w)
+    support = b.support()
+    if ideal.monomial_in_ideal(support, jw):
+        return 0
+    return next(
+        p for p in range(1, b.n + 1) if not ideal.monomial_in_ideal(support | {(i, p)}, jw)
+    )
+
+
+def assert_mutation_matches_reference(b):
+    for i in range(1, b.n):
+        for start in range(1, b.n + 1):
+            out = bruhatlab.intron_mutation_at(i, start, b)
+            assert out.rows == reference_intron_mutation_at(i, start, b)
+            # the rows outside the gene are shared, not copied
+            assert all(out.rows[r] is b.rows[r] for r in range(b.n) if r not in (i - 1, i))
+
+
+def test_intron_mutation_matches_reference_s3():
+    # intron_mutation_at does not read w, and the standard arrays of S3 with
+    # entries 0..2 together are every 3 x 3 array (those of w = 123); the
+    # reference reads and rewrites rows i and i+1 only, so it runs once per
+    # gene
+    arrays = set().union(*(bruhatlab.standard_arrays(w, 2) for w in perm.all_perms(3)))
+    assert len(arrays) == 3**9
+    genes = {}
+    for b in arrays:
+        for i in (1, 2):
+            for start in (1, 2, 3):
+                gene = (i, start, b.rows[i - 1], b.rows[i])
+                if gene not in genes:
+                    genes[gene] = reference_intron_mutation_at(i, start, b)[i - 1 : i + 1]
+                expected = b.rows[: i - 1] + genes[gene] + b.rows[i + 1 :]
+                assert bruhatlab.intron_mutation_at(i, start, b).rows == expected
+
+
+# the settings of the packed-polynomial kernel tests in test_poly.py
+KERNEL = settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def perm_and_array(draw):
+    w = draw(st.sampled_from(list(perm.all_perms(4)) + list(perm.all_perms(5))))
+    n = len(w)
+    entries = draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n))
+    if draw(st.booleans()):  # keep only the cells of a facet, so z^b is standard
+        facets = ideal.stanley_reisner_facets(ideal.antidiagonal_ideal(w))
+        facet = draw(st.sampled_from(sorted(sorted(f) for f in facets)))
+        entries = [e if (k // n + 1, k % n + 1) in facet else 0 for k, e in enumerate(entries)]
+    return w, ExponentArray.from_rows([entries[r : r + n] for r in range(0, n * n, n)])
+
+
+@KERNEL
+@given(perm_and_array())
+def test_bitmask_kernel_matches_reference(drawn):
+    w, b = drawn
+    assert_mutation_matches_reference(b)
+    jw = ideal.antidiagonal_ideal(w)
+    standard = not ideal.monomial_in_ideal(b.support(), jw)
+    assert bruhatlab.standard_test(b, w) == standard
+    for i in range(1, b.n):
+        start = bruhatlab.start_codon(i, w, b)
+        assert start == reference_start_codon(i, w, b)
+        if standard:
+            tb = bruhatlab.intron_mutation(i, w, b)
+            assert bruhatlab.start_codon(i, w, tb) == start
+            assert bruhatlab.intron_mutation(i, w, tb) == b

@@ -3,7 +3,7 @@ work fails here.  A count may go down; update it then."""
 
 import dataclasses
 
-from schubert import hilbert, ideal, perm, poly, subword
+from schubert import bruhatlab, checks, hilbert, ideal, perm, poly, subword
 
 
 def test_truncated_multidegree_expansion_count(monkeypatch):
@@ -57,3 +57,19 @@ def test_subword_complex_length_calls():
     # one call for length(w) and one per node that tries a letter; the
     # search once also measured the current element at every node (381)
     assert len(calls) == 79
+
+
+def test_tau_involution_arrays_built(monkeypatch):
+    # S3 at entries 0..2: 42,282 standard arrays built from the faces of the
+    # complexes, then two mutations per (w, i, b) triple; filtering all 3^9
+    # arrays per w once built 287,226
+    built = []
+    post_init = bruhatlab.ExponentArray.__post_init__
+
+    def counting(self):
+        built.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(bruhatlab.ExponentArray, "__post_init__", counting)
+    assert checks.tau_involution(3, 2) == (True, "84564 (w, i, b) triples")
+    assert len(built) == 42282 + 2 * 84564 == 211410
