@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Exit status: 0 on success, 1 on verification failure, a broken library
-invariant or a Groebner reduction past its coefficient bound, 2 on usage
-errors (unknown verb, malformed permutation or pipe dream, tripped size
-guard).
+Exit status: 0 on success; 2 on usage errors (unknown verb, malformed
+permutation, pipe dream or word, an out-of-range option, a tripped size
+guard), which the verbs check at this boundary; 1 on verification failure
+and on any other error (a broken library invariant, a Groebner reduction
+past its coefficient bound, a library defect), each reported as one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -121,6 +123,8 @@ def cmd_gb_verify(args) -> int:
         n = len(w)
         for name in order_names:
             order = grobner.TERM_ORDERS[name](n)
+            if not order.antidiagonal:
+                raise UsageError(f"gb-verify needs an antidiagonal order, not {name!r}")
             t0 = time.perf_counter()
             passed = grobner.verify_theorem_b(w, order)
             dt = time.perf_counter() - t0
@@ -162,8 +166,15 @@ def cmd_multidegree(args) -> int:
     return 0
 
 
+def parse_word(text: str) -> tuple[int, ...]:
+    parts = text.replace(",", " ").split()
+    if not all(p.isdecimal() and int(p) >= 1 for p in parts):
+        raise UsageError(f"malformed word: {text.strip()!r} (letters are integers >= 1)")
+    return tuple(map(int, parts))
+
+
 def cmd_subword(args) -> int:
-    word = tuple(int(part) for part in args.word.replace(",", " ").split())
+    word = parse_word(args.word)
     pi = parse_permutation(args.perm)
     n = max(len(pi), max(word, default=0) + 1)
     cox = subword.symmetric_group(n)
@@ -187,6 +198,8 @@ def cmd_subword(args) -> int:
 
 
 def cmd_check_all(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n {args.n} is not a positive integer")
     results = checks.run_all(n=args.n, slow=args.slow)
     ok = all(passed for _, passed, _ in results)
     if args.json:
@@ -283,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument(
         "--slow", action="store_true",
-        help="include the slow sweep: Theorem B on all of S6 and the 165-minor instance",
+        help="include the slow sweeps: Theorem B on all of S6 and the 165-minor "
+        "instance, and Theorem A on all of S6",
     )
     add_json(p)
     p.set_defaults(func=cmd_check_all)
@@ -299,11 +313,14 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, SizeGuardError, ValueError) as exc:
+    except (UsageError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvariantError, grobner.CoefficientBlowup) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # a library defect, not bad input
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

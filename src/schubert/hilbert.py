@@ -17,6 +17,19 @@ are supports (frozensets of cells), and both sides stay squarefree: I + <v>
 adds a variable and I : v deletes one.  The base case, an ideal generated
 by distinct variables, is the Koszul product prod (1 - wt(v)).
 
+Multidegrees follow the same pivots, in the zn2 grading only.  A node
+returns (codim, C): at the base case codim is the number of generators and
+C their product, and otherwise
+
+    C(I) = sum of C(I + <v>) and C(I : v) over the branches of least codim.
+
+This is exact, with no cancellation: a minimal prime of I of codimension
+codim(I) either contains v, and is then a minimal prime of I + <v> of the
+same codimension, or avoids v, and is then one of I : v; and a multidegree
+is the sum over the top-dimensional components (Miller-Sturmfels,
+Combinatorial Commutative Algebra, Ch. 8).  So K(1 - t), whose
+lowest-degree part the multidegree is by definition, is never expanded.
+
 Coarsening is one substitution out of the finest grading: a zn2 K-polynomial
 or multidegree specialises to any grading by sending each z_ij to its
 exponential or ordinary weight there.
@@ -24,12 +37,13 @@ exponential or ordinary weight there.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterable
 
 from . import ideal as ideal_mod
 from . import perm, poly
 from .ideal import SquarefreeMonomialIdeal
-from .limits import size_guard
+from .limits import InvariantError, size_guard
 from .perm import Perm
 from .poly import ONE, LaurentPoly, TVAR, xvar, yvar, zvar
 
@@ -59,6 +73,26 @@ def ord_weight(grading: str, cell: Cell) -> LaurentPoly:
     return out
 
 
+def _pivot(gens: frozenset):
+    """The pivot of a node with its plus and colon ideals, or None at the
+    base case, where every generator is a single cell.
+
+    The pivot is the most frequent cell of the multi-cell generators; by
+    minimality no such cell is also a singleton generator.
+    """
+    counts: dict[Cell, int] = {}
+    for g in gens:
+        if len(g) > 1:
+            for cell in g:
+                counts[cell] = counts.get(cell, 0) + 1
+    if not counts:
+        return None
+    pivot = min(counts, key=lambda c: (-counts[c], c))
+    plus = frozenset(g for g in gens if pivot not in g) | {frozenset([pivot])}
+    colon = ideal_mod.minimalize(g - {pivot} for g in gens)
+    return pivot, plus, colon
+
+
 _K_CACHE: dict = {}
 
 
@@ -67,26 +101,31 @@ def _k_of_gens(gens: frozenset, grading: str) -> LaurentPoly:
     hit = _K_CACHE.get(key)
     if hit is not None:
         return hit
-    # pivot on the most frequent cell of the multi-cell generators; by
-    # minimality no such cell is also a singleton generator
-    counts: dict[Cell, int] = {}
-    for g in gens:
-        if len(g) > 1:
-            for cell in g:
-                counts[cell] = counts.get(cell, 0) + 1
-    if not counts:
+    node = _pivot(gens)
+    if node is None:
         result = ONE
         for (cell,) in gens:
             result = result * (ONE - LaurentPoly.monomial(exp_weight(grading, cell)))
     else:
-        pivot = min(counts, key=lambda c: (-counts[c], c))
-        plus = frozenset(g for g in gens if pivot not in g) | {frozenset([pivot])}
-        colon = ideal_mod.minimalize(g - {pivot} for g in gens)
+        pivot, plus, colon = node
         result = _k_of_gens(plus, grading) + LaurentPoly.monomial(
             exp_weight(grading, pivot)
         ) * _k_of_gens(colon, grading)
     _K_CACHE[key] = result
     return result
+
+
+@cache
+def _mdeg_of_gens(gens: frozenset) -> tuple[int, LaurentPoly]:
+    """(codim, zn2 multidegree) of the quotient by the ideal with these
+    generators: the pivot recursion keeping the branches of least codim."""
+    node = _pivot(gens)
+    if node is None:
+        return len(gens), LaurentPoly.monomial({zvar(*cell): 1 for (cell,) in gens})
+    _, plus, colon = node
+    branches = (_mdeg_of_gens(plus), _mdeg_of_gens(colon))
+    codim = min(c for c, _ in branches)
+    return codim, sum((m for c, m in branches if c == codim), poly.ZERO)
 
 
 def k_polynomial(ideal: SquarefreeMonomialIdeal, grading: str = "zn2") -> LaurentPoly:
@@ -114,33 +153,10 @@ def coarsen_multidegree(c: LaurentPoly, to: str) -> LaurentPoly:
     return c.subs_poly(_z_weights(c, to, ord_weight))
 
 
-def multidegree(k: LaurentPoly, grading: str, codim: int | None = None) -> LaurentPoly:
-    """Lowest-degree part of K(1 - t).
-
-    With ``codim`` the substitution forms only the terms of total degree at
-    most codim; a lowest degree below codim survives that intact, and one
-    above it leaves nothing, which raises.  In the z2n grading the y block is
-    Laurent, the substitution expands as a series, and ``codim`` is required.
-    Without it the expansion is exact and complete (genuine polynomials).
-    """
-    blocks = {v[0] for v in exp_weight(grading, (1, 1))}
-    if codim is None:
-        if k.has_negative_exponent(blocks):
-            raise ValueError("Laurent K-polynomial needs a codimension bound")
-        return poly.lowest_degree_terms(poly.one_minus_substitute(k, blocks))
-    sub = poly.one_minus_substitute(k, blocks, bound=codim)
-    if sub.is_zero():
-        raise ValueError("truncation bound exceeded")
-    return poly.lowest_degree_terms(sub)
-
-
-def multidegree_of_ideal(ideal, grading: str = "zn") -> LaurentPoly:
-    """Multidegree via the finest grading, then coarsened.
-
-    Everything stays polynomial: the zn2 multidegree is exact, and the
-    coarsening map on multidegrees substitutes ordinary weights.
-    """
-    fine = multidegree(k_polynomial(ideal, "zn2"), "zn2")
+def multidegree_of_ideal(ideal: SquarefreeMonomialIdeal, grading: str = "zn") -> LaurentPoly:
+    """Multidegree of k[z]/ideal: the zn2 recursion, then coarsened."""
+    size_guard(ideal.n, 6, "multidegree_of_ideal")
+    _, fine = _mdeg_of_gens(ideal_mod.minimalize(ideal.generators))
     return coarsen_multidegree(fine, grading)
 
 
@@ -162,17 +178,19 @@ def theorem_a_check(w: Perm) -> bool:
     """K-polynomials of k[z]/J_w equal the Grothendieck polynomials and the
     multidegrees equal the Schubert polynomials, in both gradings."""
     w = perm.validate(w)
-    size_guard(len(w), 5, "theorem_a_check")
+    size_guard(len(w), 6, "theorem_a_check")
     jw = ideal_mod.antidiagonal_ideal(w)
     k_fine = k_polynomial(jw, "zn2")
     if coarsen(k_fine, "zn") != poly.grothendieck(w):
         return False
     if coarsen(k_fine, "z2n") != poly.double_grothendieck(w):
         return False
-    fine = multidegree(k_fine, "zn2", codim=perm.length(w))
-    if coarsen_multidegree(fine, "zn") != poly.schubert(w):
+    codim, _ = _mdeg_of_gens(jw.generators)  # J_w is built minimal
+    if codim != perm.length(w):
+        raise InvariantError(f"J_w of {w} has codimension {codim}, not l(w)")
+    if multidegree_of_ideal(jw, "zn") != poly.schubert(w):
         return False
-    return coarsen_multidegree(fine, "z2n") == poly.double_schubert(w)
+    return multidegree_of_ideal(jw, "z2n") == poly.double_schubert(w)
 
 
 def divided_difference_identity_check(w: Perm, i: int) -> bool:
@@ -182,12 +200,9 @@ def divided_difference_identity_check(w: Perm, i: int) -> bool:
     ws = perm.apply_right_transposition(w, i)
     if perm.length(ws) >= perm.length(w):
         raise ValueError("need length(w s_i) < length(w)")
-    fine_w, fine_ws = (
-        multidegree(k_polynomial(ideal_mod.antidiagonal_ideal(u), "zn2"), "zn2")
-        for u in (w, ws)
-    )
+    jw, jws = (ideal_mod.antidiagonal_ideal(u) for u in (w, ws))
     for grading in ("zn", "z2n"):
-        lhs = poly.divided_difference(i, coarsen_multidegree(fine_w, grading))
-        if lhs != coarsen_multidegree(fine_ws, grading):
+        lhs = poly.divided_difference(i, multidegree_of_ideal(jw, grading))
+        if lhs != multidegree_of_ideal(jws, grading):
             return False
     return True

@@ -14,8 +14,8 @@ indices k^2 + 1 .. (k+1)^2, holds x_k, y_k, z_k1 .. z_kk, z_1k .. z_{k-1,k}.
 Polynomials built for different n therefore compare equal term by term.  An
 exponent or a total degree of 2^15 or more in absolute value does not fit a
 digit and raises OverflowError.  ``exponents(m)`` decodes a monomial into its
-sorted (variable, exponent) pairs; only printing, JSON and the variable and
-sign queries decode.
+sorted (variable, exponent) pairs; only printing, JSON and the variable
+query decode.
 
 The divided difference and Demazure operators act on the x block only.  Both
 are computed term by term from the closed form
@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import json
 from functools import cache, reduce
-from math import comb, isqrt
-from operator import and_, or_
-from typing import Iterable, Mapping, Sequence
+from math import isqrt
+from operator import or_
+from typing import Mapping, Sequence
 
 from . import perm
 from .limits import size_guard
@@ -211,29 +211,6 @@ def _add_into(out: dict, terms: Mapping) -> None:
         out[m] = out.get(m, 0) + c
 
 
-def _mul_truncated(p: Mapping, q: Mapping, bound: int | None) -> dict:
-    """Term dict of p * q, skipping each pair of terms whose product has total
-    degree above bound (no truncation when bound is None).  Exponents are not
-    checked; callers make sure they fit."""
-    out: dict = {}
-    get = out.get
-    if bound is None:
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                key = m1 + m2
-                out[key] = get(key, 0) + c1 * c2
-        return out
-    by_degree = sorted((_degree(m), m, c) for m, c in q.items())
-    for m1, c1 in p.items():
-        room = bound - _degree(m1)
-        for d2, m2, c2 in by_degree:
-            if d2 > room:
-                break
-            key = m1 + m2
-            out[key] = get(key, 0) + c1 * c2
-    return out
-
-
 class LaurentPoly:
     """Sparse Laurent polynomial with integer coefficients: a dict from
     packed monomials to nonzero coefficients.  ``_reach`` bounds every
@@ -286,7 +263,13 @@ class LaurentPoly:
         if isinstance(other, int):
             return _bounded({m: c * other for m, c in self.terms.items()}, self._reach)
         reach = _product_reach(self, other)
-        return _bounded(_mul_truncated(self.terms, other.terms, None), reach)
+        out: dict = {}
+        get = out.get
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                key = m1 + m2
+                out[key] = get(key, 0) + c1 * c2
+        return _bounded(out, reach)
 
     __rmul__ = __mul__
 
@@ -333,20 +316,6 @@ class LaurentPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
         return min(map(_degree, self.terms))
-
-    def has_negative_exponent(self, blocks: Iterable[str] = ("x", "y", "z", "t")) -> bool:
-        if not self.terms:
-            return False
-        blocks = set(blocks)
-        # lifted by 2^15, a digit keeps its top bit in every term exactly
-        # when no term has a negative exponent there
-        k = _span(self.terms)
-        lift = _ones(k) << (_BITS - 1)
-        common = reduce(and_, map(lift.__add__, self.terms))
-        return any(
-            not (common >> (_BITS * p + _BITS - 1)) & 1 and _var_at(p)[0] in blocks
-            for p in range(1, k)
-        )
 
     # -- substitutions -----------------------------------------------------
 
@@ -453,60 +422,6 @@ def divided_difference(i: int, f: LaurentPoly) -> LaurentPoly:
 def demazure(i: int, f: LaurentPoly) -> LaurentPoly:
     """The Demazure (isobaric divided difference) operator, -d_i(x_{i+1} f)."""
     return -divided_difference(i, LaurentPoly.variable(xvar(i + 1)) * f)
-
-
-def one_minus_substitute(
-    f: LaurentPoly,
-    blocks: Iterable[str] = ("x",),
-    bound: int | None = None,
-) -> LaurentPoly:
-    """Replace every variable v of the given blocks by (1 - v).
-
-    Exact on polynomial input.  Negative exponents expand as the geometric
-    series (1-v)^-m = sum_k C(m+k-1, k) v^k, which needs a total-degree
-    truncation ``bound``; without one, Laurent input is an error.  With a
-    bound, only the terms of total degree at most bound are formed.
-    """
-    blocks = set(blocks)
-    table = [(v, *_reader(v), _unit(v)) for v in sorted(f.variables()) if v[0] in blocks]
-    factors: dict[tuple[Var, int], dict] = {}
-    out: dict[Monomial, int] = {}
-    for m, c in f.terms.items():
-        residual, degree, top = m, _degree(m), 0
-        facs = []
-        for v, lift, shift, unit in table:
-            e = (((m + lift) >> shift) & _MASK) - _HALF
-            if not e:
-                continue
-            if (v, e) not in factors:
-                factors[v, e] = _one_minus_power(v, e, bound)
-            facs.append(factors[v, e])
-            residual -= e * unit
-            degree -= e
-            top += e if e > 0 else bound
-        # every product term has a degree in [degree, degree + top]
-        _check_exponent(degree, "total degree")
-        _check_exponent(degree + top, "total degree")
-        acc = {residual: c}
-        for fac in facs:
-            acc = _mul_truncated(acc, fac, bound)
-        _add_into(out, acc)
-    return LaurentPoly(out)
-
-
-def _one_minus_power(v: Var, e: int, bound: int | None) -> dict:
-    """Term dict of (1 - v)^e up to total degree bound."""
-    unit = _unit(v)
-    if e >= 0:
-        top = e if bound is None else min(e, bound)
-        return {k * unit: (-1) ** k * comb(e, k) for k in range(top + 1)}
-    if bound is None:
-        raise ValueError(
-            f"negative exponent on {v}: a truncation bound is required"
-        )
-    _check_exponent(bound, "truncation bound")
-    m = -e
-    return {k * unit: comb(m + k - 1, k) for k in range(bound + 1)}
 
 
 def lowest_degree_terms(f: LaurentPoly) -> LaurentPoly:

@@ -6,7 +6,8 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="run the slow sweeps (S6 Groebner verification, the 165-minor instance)",
+        help="run the slow sweeps (S6 Groebner verification, the 165-minor instance, "
+        "Theorem A on all of S6)",
     )
 
 

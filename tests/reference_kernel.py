@@ -1,0 +1,142 @@
+"""A test-only reference kernel for schubert.poly.
+
+A polynomial is a dict from monomials, sorted tuples of (variable, exponent)
+pairs, to nonzero coefficients, and the arithmetic is done on exponent
+dicts: the representation the packed kernel replaced.  The kernel tests
+compare the packed kernel with it, and ``ref_one_minus_substitute`` is the
+K(1 - t) expansion that defines a multidegree, the oracle for the pivot
+recursion in schubert.hilbert.
+"""
+
+from math import comb
+
+from schubert import poly
+from schubert.poly import xvar
+
+
+def ref_canon(exps):
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def ref_clean(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def ref_of(f):
+    return {poly.exponents(m): c for m, c in f.terms.items()}
+
+
+def ref_add(p, q, sign=1):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            d = dict(m1)
+            for v, e in m2:
+                d[v] = d.get(v, 0) + e
+            key = ref_canon(d)
+            out[key] = out.get(key, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(p, k):
+    out = {(): 1}
+    for _ in range(k):
+        out = ref_mul(out, p)
+    return out
+
+
+def ref_swap_x(p, i):
+    out = {}
+    for m, c in p.items():
+        d = dict(m)
+        a, b = d.pop(xvar(i), 0), d.pop(xvar(i + 1), 0)
+        d[xvar(i)], d[xvar(i + 1)] = b, a
+        out[ref_canon(d)] = c
+    return out
+
+
+def ref_divided_difference(i, p):
+    out = {}
+    for m, c in p.items():
+        d = dict(m)
+        a, b = d.pop(xvar(i), 0), d.pop(xvar(i + 1), 0)
+        sign = 1 if a > b else -1
+        for k in range(min(a, b), max(a, b)):
+            d2 = dict(d)
+            d2[xvar(i)], d2[xvar(i + 1)] = k, a + b - 1 - k
+            key = ref_canon(d2)
+            out[key] = out.get(key, 0) + sign * c
+    return ref_clean(out)
+
+
+def ref_demazure(i, p):
+    shifted = ref_mul({((xvar(i + 1), 1),): 1}, p)
+    return {m: -c for m, c in ref_divided_difference(i, shifted).items()}
+
+
+def ref_subs_monomial(p, mapping):
+    out = {}
+    for m, c in p.items():
+        d = {}
+        for v, e in m:
+            for v2, e2 in mapping.get(v, {v: 1}).items():
+                d[v2] = d.get(v2, 0) + e2 * e
+        key = ref_canon(d)
+        out[key] = out.get(key, 0) + c
+    return ref_clean(out)
+
+
+def ref_subs_poly(p, mapping):
+    out = {}
+    for m, c in p.items():
+        acc = {(): c}
+        residual = {}
+        for v, e in m:
+            if v in mapping:
+                acc = ref_mul(acc, ref_pow(mapping[v], e))
+            else:
+                residual[v] = e
+        out = ref_add(out, ref_mul(acc, {ref_canon(residual): 1}))
+    return out
+
+
+def ref_degree(m):
+    return sum(e for _, e in m)
+
+
+def ref_one_minus_substitute(p, blocks, bound):
+    """Replace each variable v of the given blocks by 1 - v, keeping only the
+    terms of total degree at most bound (all of them when bound is None).
+    A negative exponent expands as the series (1-v)^-m = sum_k C(m+k-1, k) v^k,
+    which needs a bound.  Every factor's terms have degree >= 0, so pruning
+    after each product loses nothing."""
+
+    def keep(q):
+        return q if bound is None else {k: c2 for k, c2 in q.items() if ref_degree(k) <= bound}
+
+    out = {}
+    for m, c in p.items():
+        acc = keep({ref_canon({v: e for v, e in m if v[0] not in blocks}): c})
+        for v, e in m:
+            if v[0] not in blocks:
+                continue
+            if e >= 0:
+                top = e if bound is None else min(e, bound)
+                fac = {ref_canon({v: k}): (-1) ** k * comb(e, k) for k in range(top + 1)}
+            else:
+                fac = {ref_canon({v: k}): comb(-e + k - 1, k) for k in range(bound + 1)}
+            acc = keep(ref_mul(acc, fac))
+        out = ref_add(out, acc)
+    return out
+
+
+def ref_lowest_degree_terms(p):
+    low = min(map(ref_degree, p))
+    return {m: c for m, c in p.items() if ref_degree(m) == low}

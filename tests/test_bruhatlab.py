@@ -144,11 +144,6 @@ def test_intron_mutation_fixed_point():
     assert bruhatlab.intron_mutation(2, w, b) == b
 
 
-def test_intron_mutation_involution_exhaustive():
-    ok, detail = checks.tau_involution(3, 2)
-    assert ok, detail
-
-
 def test_intron_mutation_x_weight_property():
     # writing the x-degree of z^b as x_{i+1}^l x^a with l = |prom|, the
     # x-degree of tau(b) is x_{i+1}^l s_i(x^a)

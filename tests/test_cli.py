@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from schubert import cli, grobner
+from schubert import cli, grobner, hilbert
+from schubert.limits import InvariantError
 
 
 def run(capsys, *argv):
@@ -195,15 +196,52 @@ def test_size_guard_is_usage_error(capsys, monkeypatch):
     assert "exceeds cap" in err
 
 
-def test_check_all_small(capsys):
-    code, out, _ = run(capsys, "check-all", "--n", "3")
+def test_check_all_deterministic(capsys):
+    code, out1, _ = run(capsys, "check-all", "--n", "3")
     assert code == 0
-    lines = [l for l in out.splitlines() if l]
+    lines = [l for l in out1.splitlines() if l]
     assert all(l.startswith("PASS") for l in lines)
     assert any("bjs-identity" in l for l in lines)
-
-
-def test_check_all_deterministic(capsys):
-    _, out1, _ = run(capsys, "check-all", "--n", "3")
     _, out2, _ = run(capsys, "check-all", "--n", "3")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_check_all_n_below_1_is_usage_error(capsys, n):
+    code, out, err = run(capsys, "check-all", "--n", n)
+    assert (code, out) == (2, "")
+    assert err == f"error: --n {n} is not a positive integer\n"
+
+
+@pytest.mark.parametrize("word", ["a,b", "3,x", "3,0,3", "3,-1", "2.5"])
+def test_malformed_word_is_usage_error(capsys, word):
+    code, out, err = run(capsys, "subword", "--word", word, "--perm", "1432")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed word")
+    assert "Traceback" not in err
+
+
+def test_multidegree_past_size_guard_exits_2(capsys, monkeypatch):
+    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+    code, out, err = run(capsys, "multidegree", "2143657")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: multidegree_of_ideal: n=7 exceeds cap 6")
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (ValueError("library defect"), "error: ValueError: library defect\n"),
+        (KeyError("cell"), "error: KeyError: 'cell'\n"),
+        (InvariantError("J_w lost its codimension"), "error: J_w lost its codimension\n"),
+    ],
+    ids=["ValueError", "KeyError", "InvariantError"],
+)
+def test_library_errors_exit_1(capsys, monkeypatch, exc, line):
+    # an error raised inside the library is a defect, not bad input
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(hilbert, "multidegree_of_ideal", broken)
+    code, out, err = run(capsys, "multidegree", "2143")
+    assert (code, out, err) == (1, "", line)

@@ -1,8 +1,20 @@
+import random
+
 import pytest
 
-from schubert import hilbert, ideal, perm, poly
+from reference_kernel import ref_lowest_degree_terms, ref_of, ref_one_minus_substitute
+from schubert import checks, hilbert, ideal, perm, poly
 from schubert.ideal import SquarefreeMonomialIdeal
+from schubert.limits import InvariantError
 from schubert.poly import LaurentPoly, ONE, TVAR, xvar, yvar, zvar
+
+
+def reference_multidegree(k, grading, bound=None):
+    """The definition: the lowest-degree part of K(1 - t), expanded by the
+    reference kernel (up to total degree bound, which the Laurent K of the
+    z2n grading needs)."""
+    blocks = {v[0] for v in hilbert.exp_weight(grading, (1, 1))}
+    return ref_lowest_degree_terms(ref_one_minus_substitute(ref_of(k), blocks, bound))
 
 
 def two_by_two_diag_ideal():
@@ -50,7 +62,7 @@ def test_coarsen_chain():
     with pytest.raises(ValueError):
         hilbert.coarsen(fine, "zn3")
     with pytest.raises(ValueError):
-        hilbert.coarsen_multidegree(hilbert.multidegree(fine, "zn2"), "zn3")
+        hilbert.coarsen_multidegree(hilbert.multidegree_of_ideal(j, "zn2"), "zn3")
 
 
 def test_coarsen_agrees_with_direct_computation_s4():
@@ -63,7 +75,7 @@ def test_coarsen_agrees_with_direct_computation_s4():
 
 def test_multidegree_subspace_example():
     j = two_by_two_diag_ideal()
-    fine = hilbert.multidegree(hilbert.k_polynomial(j, "zn2"), "zn2")
+    fine = hilbert.multidegree_of_ideal(j, "zn2")
     assert fine == LaurentPoly.monomial({zvar(1, 1): 1, zvar(2, 2): 1})
     x1, x2 = LaurentPoly.variable(xvar(1)), LaurentPoly.variable(xvar(2))
     y1, y2 = LaurentPoly.variable(yvar(1)), LaurentPoly.variable(yvar(2))
@@ -71,33 +83,32 @@ def test_multidegree_subspace_example():
 
 
 def test_multidegree_truncated_series_route():
-    # the z2n K-polynomial is Laurent in y; codim-truncated expansion works
+    # the z2n K-polynomial is Laurent in y; its codim-truncated expansion
+    # gives the multidegree the recursion coarsens to
     j = two_by_two_diag_ideal()
     k = hilbert.k_polynomial(j, "z2n")
-    with pytest.raises(ValueError):
-        hilbert.multidegree(k, "z2n")
-    direct = hilbert.multidegree(k, "z2n", codim=2)
-    assert direct == hilbert.multidegree_of_ideal(j, "z2n")
+    direct = reference_multidegree(k, "z2n", bound=2)
+    assert direct == ref_of(hilbert.multidegree_of_ideal(j, "z2n"))
 
 
 def test_truncated_and_polynomial_routes_agree_on_jw():
     for w in perm.all_perms(3):
         jw = ideal.antidiagonal_ideal(w)
         k = hilbert.k_polynomial(jw, "z2n")
-        truncated = hilbert.multidegree(k, "z2n", codim=perm.length(w))
-        assert truncated == hilbert.multidegree_of_ideal(jw, "z2n")
+        truncated = reference_multidegree(k, "z2n", bound=perm.length(w))
+        assert truncated == ref_of(hilbert.multidegree_of_ideal(jw, "z2n"))
 
 
 def test_coarsened_multidegree_matches_direct_route_s4():
-    # the direct route computes K in each grading and expands K(1 - t) there
-    # (as a truncated series in z2n), never substituting z_ij by a weight
+    # the definition, grading by grading: K in that grading, K(1 - t)
+    # expanded by the reference kernel (truncated at l(w) in z2n, where K is
+    # Laurent), its lowest-degree part against the coarsened recursion
     for w in perm.all_perms(4):
         jw = ideal.antidiagonal_ideal(w)
         for grading in hilbert.GRADINGS:
-            direct = hilbert.multidegree(
-                hilbert.k_polynomial(jw, grading), grading, codim=perm.length(w)
-            )
-            assert direct == hilbert.multidegree_of_ideal(jw, grading)
+            bound = perm.length(w) if grading == "z2n" else None
+            direct = reference_multidegree(hilbert.k_polynomial(jw, grading), grading, bound)
+            assert direct == ref_of(hilbert.multidegree_of_ideal(jw, grading))
 
 
 def test_multidegree_of_j2143():
@@ -107,7 +118,7 @@ def test_multidegree_of_j2143():
 
 def test_multidegree_of_zero_ideal_is_one():
     j = SquarefreeMonomialIdeal(2, frozenset())
-    assert hilbert.multidegree(hilbert.k_polynomial(j, "zn"), "zn") == ONE
+    assert hilbert.multidegree_of_ideal(j, "zn") == ONE
 
 
 def test_multidegree_additive_2143():
@@ -215,15 +226,38 @@ def test_exp_weight_table():
 
 
 def test_truncated_multidegree_equals_exact_zn2():
-    # Theorem A's route expands K(1 - z) only up to degree l(w); the lowest
-    # degree part it keeps is the exact one for all of S4 and S5 up to length 5
+    # against the definition on all of S4 and S5 up to length 5: the zn2
+    # recursion gives the lowest-degree part of K(1 - z), which the expansion
+    # truncated at l(w) or l(w) + 2 keeps intact, and J_w has codim l(w)
     ws = list(perm.all_perms(4)) + [w for w in perm.all_perms(5) if perm.length(w) <= 5]
     for w in ws:
         k = hilbert.k_polynomial(ideal.antidiagonal_ideal(w), "zn2")
-        exact = hilbert.multidegree(k, "zn2")
-        assert hilbert.multidegree(k, "zn2", codim=perm.length(w)) == exact
-        assert hilbert.multidegree(k, "zn2", codim=perm.length(w) + 2) == exact
+        exact = reference_multidegree(k, "zn2")
+        assert ref_of(hilbert.multidegree_of_ideal(ideal.antidiagonal_ideal(w), "zn2")) == exact
+        assert reference_multidegree(k, "zn2", perm.length(w)) == exact
+        assert reference_multidegree(k, "zn2", perm.length(w) + 2) == exact
         if perm.length(w):
-            # a lowest degree above the bound leaves nothing, which raises
-            with pytest.raises(ValueError):
-                hilbert.multidegree(k, "zn2", codim=perm.length(w) - 1)
+            # a lowest degree above the bound leaves nothing
+            sub = ref_one_minus_substitute(ref_of(k), {"z"}, perm.length(w) - 1)
+            assert sub == {}
+
+
+def test_theorem_a_codim_mismatch_raises(monkeypatch):
+    # a J_w whose codim is not l(w) breaks the theory: a raise, not a False
+    w = (2, 1, 4, 3)
+    _, fine = hilbert._mdeg_of_gens(ideal.antidiagonal_ideal(w).generators)
+    monkeypatch.setattr(hilbert, "_mdeg_of_gens", lambda gens: (3, fine))
+    with pytest.raises(InvariantError):
+        hilbert.theorem_a_check(w)
+
+
+def test_theorem_a_s6_sample():
+    rng = random.Random(6)
+    for w in rng.sample(list(perm.all_perms(6)), 30):
+        assert hilbert.theorem_a_check(w), w
+
+
+@pytest.mark.slow
+def test_theorem_a_s6():
+    ok, detail = checks.theorem_a_slow()
+    assert ok, detail

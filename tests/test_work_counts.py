@@ -3,28 +3,18 @@ work fails here.  A count may go down; update it then."""
 
 import dataclasses
 
-from schubert import bruhatlab, checks, hilbert, ideal, perm, poly, subword
+from schubert import bruhatlab, checks, hilbert, ideal, perm, subword
 
 
-def test_truncated_multidegree_expansion_count(monkeypatch):
-    # K(1 - z) of J_w in the zn2 grading, expanded up to total degree l(w)
-    w = (1, 5, 3, 4, 2)
-    k = hilbert.k_polynomial(ideal.antidiagonal_ideal(w), "zn2")
-    formed = []
-    product = poly._mul_truncated
-
-    def counting(p, q, bound):
-        out = product(p, q, bound)
-        formed.append(len(out))
-        return out
-
-    monkeypatch.setattr(poly, "_mul_truncated", counting)
-    truncated = poly.one_minus_substitute(k, ("z",), bound=perm.length(w))
-    truncated_formed = sum(formed)
-    formed.clear()
-    full = poly.one_minus_substitute(k, ("z",))
-    assert (len(truncated.terms), truncated_formed) == (10, 4767)
-    assert (len(full.terms), sum(formed)) == (27, 4818)
+def test_multidegree_recursion_nodes():
+    # the zn2 multidegree recursion from an empty cache: J_15342, then all of S5
+    hilbert._mdeg_of_gens.cache_clear()
+    hilbert.multidegree_of_ideal(ideal.antidiagonal_ideal((1, 5, 3, 4, 2)), "zn2")
+    assert hilbert._mdeg_of_gens.cache_info().misses == 19
+    hilbert._mdeg_of_gens.cache_clear()
+    for w in perm.all_perms(5):
+        hilbert.multidegree_of_ideal(ideal.antidiagonal_ideal(w), "zn2")
+    assert hilbert._mdeg_of_gens.cache_info().misses == 666
 
 
 def test_k_polynomial_recursion_nodes(monkeypatch):
