@@ -1,6 +1,5 @@
 """K-polynomials and multidegrees of squarefree monomial quotients of
-k[z11..znn] under the four gradings, grading coarsening, and the Schubert
-identity checks.
+k[z11..znn] under the four gradings, and the Schubert identity checks.
 
 Grading tags (the CLI spelling): "zn2" is the finest grading (weight of z_ij
 is z_ij itself), then "z2n" (x_i/y_j), "zn" (x_i), and "z" (t).  exp_weight
@@ -8,37 +7,34 @@ is the one table of weights: exponential weights drive K-polynomials, and
 the ordinary weight of z_ij is the linear form read off its exponential
 weight, which drives multidegrees.
 
-K-polynomials come from the pivot recursion
+One memoised recursion, run directly in the requested grading, gives a node
+(codim, C, K): the codimension, multidegree and K-polynomial of R/I.
+Generators are supports (frozensets of cells).  A node first factors out its
+singleton generators, which share no variable with the rest: each adds 1 to
+codim, multiplies C by its ordinary weight and K by its Koszul factor
+1 - wt(v).  The rest pivot on the cell v most frequent among them, by
 
-    K(R/I) = K(R/(I + <v>)) + wt(v) * K(R/(I : v))
+    K(R/I) = K(R/(I + <v>)) + wt(v) * K(R/(I : v)),
+    C(R/I) = sum of C(R/(I + <v>)) and C(R/(I : v)) over the branches of
+             least codim,
 
-pivoting on the variable most frequent among the generators.  Generators
-are supports (frozensets of cells), and both sides stay squarefree: I + <v>
-adds a variable and I : v deletes one.  The base case, an ideal generated
-by distinct variables, is the Koszul product prod (1 - wt(v)).
+where I + <v> is the generators avoiding v, a node (c, C, K) of its own,
+with v factored out as (c + 1, ord(v) * C, (1 - wt(v)) * K), and I : v
+deletes v from each generator.  Both sides stay squarefree.
 
-Multidegrees follow the same pivots, in the zn2 grading only.  A node
-returns (codim, C): at the base case codim is the number of generators and
-C their product, and otherwise
-
-    C(I) = sum of C(I + <v>) and C(I : v) over the branches of least codim.
-
-This is exact, with no cancellation: a minimal prime of I of codimension
-codim(I) either contains v, and is then a minimal prime of I + <v> of the
-same codimension, or avoids v, and is then one of I : v; and a multidegree
-is the sum over the top-dimensional components (Miller-Sturmfels,
-Combinatorial Commutative Algebra, Ch. 8).  So K(1 - t), whose
-lowest-degree part the multidegree is by definition, is never expanded.
-
-Coarsening is one substitution out of the finest grading: a zn2 K-polynomial
-or multidegree specialises to any grading by sending each z_ij to its
-exponential or ordinary weight there.
+Both rules are exact in every grading, with no cancellation and no
+coarsening step.  K is additive along the exact sequence of the pivot.  A
+minimal prime of I of codimension codim(I) either contains v, and is then a
+minimal prime of I + <v> of the same codimension, or avoids v, and is then
+one of I : v; and in any grading a multidegree is the sum over the
+top-dimensional components (Miller-Sturmfels, Combinatorial Commutative
+Algebra, Ch. 8).  So K(1 - t), whose lowest-degree part the multidegree is
+by definition, is never expanded.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import ideal as ideal_mod
 from . import perm, poly
@@ -73,91 +69,62 @@ def ord_weight(grading: str, cell: Cell) -> LaurentPoly:
     return out
 
 
-def _pivot(gens: frozenset):
-    """The pivot of a node with its plus and colon ideals, or None at the
-    base case, where every generator is a single cell.
-
-    The pivot is the most frequent cell of the multi-cell generators; by
-    minimality no such cell is also a singleton generator.
-    """
-    counts: dict[Cell, int] = {}
-    for g in gens:
-        if len(g) > 1:
-            for cell in g:
-                counts[cell] = counts.get(cell, 0) + 1
-    if not counts:
-        return None
-    pivot = min(counts, key=lambda c: (-counts[c], c))
-    plus = frozenset(g for g in gens if pivot not in g) | {frozenset([pivot])}
-    colon = ideal_mod.minimalize(g - {pivot} for g in gens)
-    return pivot, plus, colon
-
-
 _K_CACHE: dict = {}
 
 
-def _k_of_gens(gens: frozenset, grading: str) -> LaurentPoly:
+def _k_of_gens(gens: frozenset, grading: str) -> tuple[int, LaurentPoly, LaurentPoly]:
+    """(codim, multidegree, K-polynomial) of the quotient by the ideal with
+    these minimal generators, in the given grading."""
     key = (grading, gens)
     hit = _K_CACHE.get(key)
     if hit is not None:
         return hit
-    node = _pivot(gens)
-    if node is None:
-        result = ONE
-        for (cell,) in gens:
-            result = result * (ONE - LaurentPoly.monomial(exp_weight(grading, cell)))
-    else:
-        pivot, plus, colon = node
-        result = _k_of_gens(plus, grading) + LaurentPoly.monomial(
-            exp_weight(grading, pivot)
-        ) * _k_of_gens(colon, grading)
+    codim, c, k = 0, ONE, ONE
+    multi, counts = [], {}
+    for g in gens:
+        if len(g) == 1:
+            (cell,) = g
+            codim += 1
+            c = c * ord_weight(grading, cell)
+            k = k * (ONE - LaurentPoly.monomial(exp_weight(grading, cell)))
+        else:
+            multi.append(g)
+            for cell in g:
+                counts[cell] = counts.get(cell, 0) + 1
+    if multi:
+        # by minimality no pivot candidate is also a singleton generator
+        v = min(counts, key=lambda cell: (-counts[cell], cell))
+        rest = frozenset(g for g in multi if v not in g)
+        p_codim, p_c, p_k = _k_of_gens(rest, grading) if rest else (0, ONE, ONE)
+        q_codim, q_c, q_k = _k_of_gens(ideal_mod.minimalize(g - {v} for g in multi), grading)
+        low = min(p_codim + 1, q_codim)
+        c_node = poly.ZERO
+        if p_codim + 1 == low:
+            c_node = c_node + ord_weight(grading, v) * p_c
+        if q_codim == low:
+            c_node = c_node + q_c
+        wt = LaurentPoly.monomial(exp_weight(grading, v))
+        codim, c, k = codim + low, c * c_node, k * ((ONE - wt) * p_k + wt * q_k)
+    result = (codim, c, k)
     _K_CACHE[key] = result
     return result
 
 
-@cache
-def _mdeg_of_gens(gens: frozenset) -> tuple[int, LaurentPoly]:
-    """(codim, zn2 multidegree) of the quotient by the ideal with these
-    generators: the pivot recursion keeping the branches of least codim."""
-    node = _pivot(gens)
-    if node is None:
-        return len(gens), LaurentPoly.monomial({zvar(*cell): 1 for (cell,) in gens})
-    _, plus, colon = node
-    branches = (_mdeg_of_gens(plus), _mdeg_of_gens(colon))
-    codim = min(c for c, _ in branches)
-    return codim, sum((m for c, m in branches if c == codim), poly.ZERO)
+def _of_ideal(ideal: SquarefreeMonomialIdeal, grading: str, caller: str):
+    if grading not in GRADINGS:
+        raise ValueError(f"unknown grading {grading!r}")
+    size_guard(ideal.n, 6, caller)
+    return _k_of_gens(ideal_mod.minimalize(ideal.generators), grading)
 
 
 def k_polynomial(ideal: SquarefreeMonomialIdeal, grading: str = "zn2") -> LaurentPoly:
     """K-polynomial of k[z]/ideal in the given grading."""
-    if grading not in GRADINGS:
-        raise ValueError(f"unknown grading {grading!r}")
-    size_guard(ideal.n, 6, "k_polynomial")
-    return _k_of_gens(ideal_mod.minimalize(ideal.generators), grading)
-
-
-def _z_weights(f: LaurentPoly, to: str, weight: Callable) -> dict:
-    """Map each z_ij of f to its weight in the grading ``to``."""
-    if to not in GRADINGS:
-        raise ValueError(f"unknown grading {to!r}")
-    return {v: weight(to, v[1:]) for v in f.variables() if v[0] == "z"}
-
-
-def coarsen(k: LaurentPoly, to: str) -> LaurentPoly:
-    """Specialise a zn2 K-polynomial to the grading ``to``."""
-    return k.subs_monomial(_z_weights(k, to, exp_weight))
-
-
-def coarsen_multidegree(c: LaurentPoly, to: str) -> LaurentPoly:
-    """Specialise a zn2 multidegree to the grading ``to``."""
-    return c.subs_poly(_z_weights(c, to, ord_weight))
+    return _of_ideal(ideal, grading, "k_polynomial")[2]
 
 
 def multidegree_of_ideal(ideal: SquarefreeMonomialIdeal, grading: str = "zn") -> LaurentPoly:
-    """Multidegree of k[z]/ideal: the zn2 recursion, then coarsened."""
-    size_guard(ideal.n, 6, "multidegree_of_ideal")
-    _, fine = _mdeg_of_gens(ideal_mod.minimalize(ideal.generators))
-    return coarsen_multidegree(fine, grading)
+    """Multidegree of k[z]/ideal in the given grading."""
+    return _of_ideal(ideal, grading, "multidegree_of_ideal")[1]
 
 
 def multidegree_additive(
@@ -179,18 +146,17 @@ def theorem_a_check(w: Perm) -> bool:
     multidegrees equal the Schubert polynomials, in both gradings."""
     w = perm.validate(w)
     size_guard(len(w), 6, "theorem_a_check")
-    jw = ideal_mod.antidiagonal_ideal(w)
-    k_fine = k_polynomial(jw, "zn2")
-    if coarsen(k_fine, "zn") != poly.grothendieck(w):
-        return False
-    if coarsen(k_fine, "z2n") != poly.double_grothendieck(w):
-        return False
-    codim, _ = _mdeg_of_gens(jw.generators)  # J_w is built minimal
-    if codim != perm.length(w):
-        raise InvariantError(f"J_w of {w} has codimension {codim}, not l(w)")
-    if multidegree_of_ideal(jw, "zn") != poly.schubert(w):
-        return False
-    return multidegree_of_ideal(jw, "z2n") == poly.double_schubert(w)
+    gens = ideal_mod.antidiagonal_ideal(w).generators  # J_w is built minimal
+    for grading, groth, schub in (
+        ("zn", poly.grothendieck, poly.schubert),
+        ("z2n", poly.double_grothendieck, poly.double_schubert),
+    ):
+        codim, c, k = _k_of_gens(gens, grading)
+        if codim != perm.length(w):
+            raise InvariantError(f"J_w of {w} has codimension {codim}, not l(w)")
+        if k != groth(w) or c != schub(w):
+            return False
+    return True
 
 
 def divided_difference_identity_check(w: Perm, i: int) -> bool:

@@ -6,9 +6,15 @@ distinct vertices.  The void complex (no faces at all) and the empty complex
 {<empty face>} are distinguished: the former has no facets, the latter has the
 single facet frozenset().
 
-The machinery only needs a Coxeter system through length, identity, and
-multiplication by a generator, collected in CoxeterSystem; symmetric_group(n)
-is the one instantiation used here.
+The machinery only needs a Coxeter system through length, identity,
+multiplication by a generator and the right-descent test, collected in
+CoxeterSystem; symmetric_group(n) is the one instantiation used here.
+
+A subword is a reduced word for pi exactly when, read right to left, each
+letter is a right descent of what is left of pi, which it then peels off
+(Knutson-Miller, Subword complexes in Coxeter groups).  contains and
+subword_complex both search this way, so neither measures a length inside
+its loop.
 """
 
 from __future__ import annotations
@@ -26,25 +32,31 @@ from .perm import Perm
 
 @dataclass(frozen=True)
 class CoxeterSystem:
+    """What the subword machinery uses of a Coxeter group: its identity,
+    length, multiplication by a generator on either side, and the test
+    whether a generator s is a right descent of el, length(el s) <
+    length(el), which the searches use in place of lengths."""
+
     identity: object
     length: Callable = field(compare=False)
     left_mul: Callable = field(compare=False)   # (letter, element) -> element
     right_mul: Callable = field(compare=False)  # (element, letter) -> element
-    # search prune: is u a left weak-order prefix of pi?
-    weak_prefix: Callable = field(compare=False)
+    # (element, letter) -> whether the letter is a right descent of it
+    descent: Callable = field(compare=False)
 
 
 def symmetric_group(n: int) -> CoxeterSystem:
-    def weak_prefix(u: Perm, pi: Perm) -> bool:
-        rest = perm.multiply(perm.inverse(u), pi)
-        return perm.length(u) + perm.length(rest) == perm.length(pi)
+    def descent(u: Perm, i: int) -> bool:
+        if not 1 <= i < n:
+            raise ValueError(f"reflection index {i} out of range for n={n}")
+        return u[i - 1] > u[i]
 
     return CoxeterSystem(
         identity=perm.identity(n),
         length=perm.length,
         left_mul=perm.apply_left_transposition,
         right_mul=perm.apply_right_transposition,
-        weak_prefix=weak_prefix,
+        descent=descent,
     )
 
 
@@ -53,9 +65,8 @@ def demazure_product(word: Sequence[int], cox: CoxeterSystem) -> object:
     only when it increases length."""
     el = cox.identity
     for i in word:
-        nxt = cox.right_mul(el, i)
-        if cox.length(nxt) > cox.length(el):
-            el = nxt
+        if not cox.descent(el, i):
+            el = cox.right_mul(el, i)
     return el
 
 
@@ -68,11 +79,10 @@ def contains(word: Sequence[int], pi, cox: CoxeterSystem) -> bool:
     """
     v = pi
     for i in reversed(word):
-        if cox.length(v) == 0:
+        if v == cox.identity:
             break
-        nxt = cox.right_mul(v, i)
-        if cox.length(nxt) < cox.length(v):
-            v = nxt
+        if cox.descent(v, i):
+            v = cox.right_mul(v, i)
     return v == cox.identity
 
 
@@ -83,11 +93,10 @@ def contains_bruteforce(word: Sequence[int], pi, cox: CoxeterSystem) -> bool:
         el = cox.identity
         ok = True
         for p in positions:
-            nxt = cox.right_mul(el, word[p])
-            if cox.length(nxt) <= cox.length(el):
+            if cox.descent(el, word[p]):
                 ok = False
                 break
-            el = nxt
+            el = cox.right_mul(el, word[p])
         if ok and el == pi:
             return True
     return k == 0 and pi == cox.identity
@@ -121,25 +130,21 @@ def subword_complex(word: Sequence[int], pi, cox: CoxeterSystem) -> SubwordCompl
     target_len = cox.length(pi)
     reduced_subwords: list[frozenset] = []
 
-    # walk positions left to right; keep only partial products u that are
-    # prefixes of pi in weak order: length(u) + length(u^-1 pi) = length(pi).
-    # Only length-increasing letters are taken, so length(current) is
-    # len(chosen).
-    def rec(pos: int, chosen: tuple, current) -> None:
+    # walk positions right to left from v = pi, taking a position exactly
+    # when its letter is a right descent of v, then v <- v s; v has length
+    # target_len - len(chosen), so taking target_len positions reaches e
+    def rec(pos: int, chosen: tuple, v) -> None:
         if len(chosen) == target_len:
-            if current == pi:
-                reduced_subwords.append(frozenset(chosen))
+            reduced_subwords.append(frozenset(chosen))
             return
-        if len(word) - pos < target_len - len(chosen):
+        if pos < target_len - len(chosen):
             return
-        if pos == len(word):
-            return
-        rec(pos + 1, chosen, current)
-        nxt = cox.right_mul(current, word[pos])
-        if cox.length(nxt) > len(chosen) and cox.weak_prefix(nxt, pi):
-            rec(pos + 1, chosen + (pos,), nxt)
+        letter = word[pos - 1]
+        if cox.descent(v, letter):
+            rec(pos - 1, chosen + (pos - 1,), cox.right_mul(v, letter))
+        rec(pos - 1, chosen, v)
 
-    rec(0, (), cox.identity)
+    rec(len(word), (), pi)
     positions = frozenset(range(len(word)))
     facets = frozenset(positions - p for p in reduced_subwords)
     return SubwordComplex(word, pi, facets, cox)

@@ -1,4 +1,5 @@
-"""A test-only reference kernel for schubert.poly.
+"""Test-only reference kernels for schubert.poly, schubert.hilbert and
+schubert.subword.
 
 A polynomial is a dict from monomials, sorted tuples of (variable, exponent)
 pairs, to nonzero coefficients, and the arithmetic is done on exponent
@@ -6,12 +7,21 @@ dicts: the representation the packed kernel replaced.  The kernel tests
 compare the packed kernel with it, and ``ref_one_minus_substitute`` is the
 K(1 - t) expansion that defines a multidegree, the oracle for the pivot
 recursion in schubert.hilbert.
+
+``coarsen`` and ``coarsen_multidegree`` are the route schubert.hilbert took
+before its recursion ran in the target grading: form the zn2 K-polynomial or
+multidegree, then send each z_ij to its weight.  ``subword_facets_by_prefix``
+is the facet search schubert.subword made before it peeled right descents:
+left to right, keeping the partial products that are weak-order prefixes of
+pi.
 """
 
 from math import comb
+from typing import Callable
 
-from schubert import poly
-from schubert.poly import xvar
+from schubert import perm, poly
+from schubert.hilbert import GRADINGS, exp_weight, ord_weight
+from schubert.poly import LaurentPoly, xvar
 
 
 def ref_canon(exps):
@@ -140,3 +150,61 @@ def ref_one_minus_substitute(p, blocks, bound):
 def ref_lowest_degree_terms(p):
     low = min(map(ref_degree, p))
     return {m: c for m, c in p.items() if ref_degree(m) == low}
+
+
+# -- the zn2-then-substitute coarsening ----------------------------------------
+
+
+def _z_weights(f: LaurentPoly, to: str, weight: Callable) -> dict:
+    """Map each z_ij of f to its weight in the grading ``to``."""
+    if to not in GRADINGS:
+        raise ValueError(f"unknown grading {to!r}")
+    return {v: weight(to, v[1:]) for v in f.variables() if v[0] == "z"}
+
+
+def coarsen(k: LaurentPoly, to: str) -> LaurentPoly:
+    """Specialise a zn2 K-polynomial to the grading ``to``."""
+    return k.subs_monomial(_z_weights(k, to, exp_weight))
+
+
+def coarsen_multidegree(c: LaurentPoly, to: str) -> LaurentPoly:
+    """Specialise a zn2 multidegree to the grading ``to``."""
+    return c.subs_poly(_z_weights(c, to, ord_weight))
+
+
+# -- the left-to-right weak-prefix facet search -----------------------------------
+
+
+def weak_prefix(u, pi) -> bool:
+    """Whether u is a left weak-order prefix of pi, in S_n."""
+    rest = perm.multiply(perm.inverse(u), pi)
+    return perm.length(u) + perm.length(rest) == perm.length(pi)
+
+
+def subword_facets_by_prefix(word, pi, cox) -> frozenset:
+    """Facets of the subword complex of (word, pi) in S_n."""
+    word = tuple(word)
+    target_len = cox.length(pi)
+    reduced_subwords: list[frozenset] = []
+
+    # walk positions left to right; keep only partial products u that are
+    # prefixes of pi in weak order: length(u) + length(u^-1 pi) = length(pi).
+    # Only length-increasing letters are taken, so length(current) is
+    # len(chosen).
+    def rec(pos: int, chosen: tuple, current) -> None:
+        if len(chosen) == target_len:
+            if current == pi:
+                reduced_subwords.append(frozenset(chosen))
+            return
+        if len(word) - pos < target_len - len(chosen):
+            return
+        if pos == len(word):
+            return
+        rec(pos + 1, chosen, current)
+        nxt = cox.right_mul(current, word[pos])
+        if cox.length(nxt) > len(chosen) and weak_prefix(nxt, pi):
+            rec(pos + 1, chosen + (pos,), nxt)
+
+    rec(0, (), cox.identity)
+    positions = frozenset(range(len(word)))
+    return frozenset(positions - p for p in reduced_subwords)

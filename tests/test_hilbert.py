@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from reference_kernel import ref_lowest_degree_terms, ref_of, ref_one_minus_substitute
+from reference_kernel import (
+    coarsen,
+    coarsen_multidegree,
+    ref_lowest_degree_terms,
+    ref_of,
+    ref_one_minus_substitute,
+)
 from schubert import checks, hilbert, ideal, perm, poly
 from schubert.ideal import SquarefreeMonomialIdeal
 from schubert.limits import InvariantError
@@ -58,19 +64,34 @@ def test_coarsen_chain():
     j = two_by_two_diag_ideal()
     fine = hilbert.k_polynomial(j, "zn2")
     for target in hilbert.GRADINGS:
-        assert hilbert.coarsen(fine, target) == hilbert.k_polynomial(j, target)
+        assert coarsen(fine, target) == hilbert.k_polynomial(j, target)
     with pytest.raises(ValueError):
-        hilbert.coarsen(fine, "zn3")
+        coarsen(fine, "zn3")
     with pytest.raises(ValueError):
-        hilbert.coarsen_multidegree(hilbert.multidegree_of_ideal(j, "zn2"), "zn3")
+        coarsen_multidegree(hilbert.multidegree_of_ideal(j, "zn2"), "zn3")
+    for direct in (hilbert.k_polynomial, hilbert.multidegree_of_ideal):
+        with pytest.raises(ValueError):
+            direct(SquarefreeMonomialIdeal(2, frozenset()), "zn3")
+
+
+def assert_direct_matches_coarsened(w, gradings):
+    # the recursion run in each grading against the zn2 one, substituted
+    gens = ideal.antidiagonal_ideal(w).generators
+    codim, c_fine, k_fine = hilbert._k_of_gens(gens, "zn2")
+    for grading in gradings:
+        direct = hilbert._k_of_gens(gens, grading)
+        coarsened = (codim, coarsen_multidegree(c_fine, grading), coarsen(k_fine, grading))
+        assert direct == coarsened, (w, grading)
 
 
 def test_coarsen_agrees_with_direct_computation_s4():
     for w in perm.all_perms(4):
-        jw = ideal.antidiagonal_ideal(w)
-        fine = hilbert.k_polynomial(jw, "zn2")
-        for grading in hilbert.GRADINGS:
-            assert hilbert.coarsen(fine, grading) == hilbert.k_polynomial(jw, grading)
+        assert_direct_matches_coarsened(w, hilbert.GRADINGS)
+
+
+def test_coarsen_agrees_with_direct_computation_s5():
+    for w in perm.all_perms(5):
+        assert_direct_matches_coarsened(w, ("zn", "z2n"))
 
 
 def test_multidegree_subspace_example():
@@ -121,6 +142,36 @@ def test_multidegree_of_zero_ideal_is_one():
     assert hilbert.multidegree_of_ideal(j, "zn") == ONE
 
 
+def test_multidegree_of_mixed_ideal_keeps_top_components():
+    # <z11 z12, z11 z13> = <z11> cap <z12, z13>: J_w and its pivot ideals
+    # are unmixed, so only here does a branch of higher codim get dropped
+    j = SquarefreeMonomialIdeal(
+        3, frozenset([frozenset([(1, 1), (1, 2)]), frozenset([(1, 1), (1, 3)])])
+    )
+    z11, z12, z13 = (LaurentPoly.variable(zvar(1, j)) for j in (1, 2, 3))
+    assert hilbert.multidegree_of_ideal(j, "zn2") == z11
+    assert hilbert.k_polynomial(j, "zn2") == ONE - z11 * z12 - z11 * z13 + z11 * z12 * z13
+
+
+def test_random_ideals_match_the_definition():
+    # squarefree ideals in a 3 x 3 grid, mixed ones among them, against the
+    # lowest-degree part of K(1 - t) in every grading (truncated at the
+    # codim in z2n, where K is Laurent)
+    rng = random.Random(11)
+    cells = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+    for _ in range(40):
+        gens = frozenset(
+            frozenset(rng.sample(cells, rng.randint(1, 3))) for _ in range(rng.randint(1, 4))
+        )
+        j = SquarefreeMonomialIdeal(3, gens)
+        for grading in hilbert.GRADINGS:
+            k = hilbert.k_polynomial(j, grading)
+            codim = hilbert._k_of_gens(ideal.minimalize(gens), grading)[0]
+            direct = reference_multidegree(k, grading, codim if grading == "z2n" else None)
+            assert direct == ref_of(hilbert.multidegree_of_ideal(j, grading)), (gens, grading)
+            assert {sum(e for _, e in m) for m in direct} == {codim}
+
+
 def test_multidegree_additive_2143():
     facets = ideal.stanley_reisner_facets(ideal.antidiagonal_ideal((2, 1, 4, 3)))
     assert hilbert.multidegree_additive(facets, 4, "zn") == poly.schubert((2, 1, 4, 3))
@@ -158,7 +209,7 @@ def test_theorem_a_s4():
 
 def test_theorem_a_w0_koszul():
     w0 = perm.long_element(4)
-    k = hilbert.coarsen(hilbert.k_polynomial(ideal.antidiagonal_ideal(w0), "zn2"), "zn")
+    k = hilbert.k_polynomial(ideal.antidiagonal_ideal(w0), "zn")
     assert k == poly.grothendieck_top(4)
 
 
@@ -245,8 +296,9 @@ def test_truncated_multidegree_equals_exact_zn2():
 def test_theorem_a_codim_mismatch_raises(monkeypatch):
     # a J_w whose codim is not l(w) breaks the theory: a raise, not a False
     w = (2, 1, 4, 3)
-    _, fine = hilbert._mdeg_of_gens(ideal.antidiagonal_ideal(w).generators)
-    monkeypatch.setattr(hilbert, "_mdeg_of_gens", lambda gens: (3, fine))
+    gens = ideal.antidiagonal_ideal(w).generators
+    true = {grading: hilbert._k_of_gens(gens, grading) for grading in ("zn", "z2n")}
+    monkeypatch.setattr(hilbert, "_k_of_gens", lambda gens, grading: (3, *true[grading][1:]))
     with pytest.raises(InvariantError):
         hilbert.theorem_a_check(w)
 

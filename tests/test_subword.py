@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from reference_kernel import subword_facets_by_prefix
 from schubert import perm, pipedream, subword
 from schubert.subword import (
     EMPTY_LEAF,
@@ -172,3 +174,53 @@ def test_decomposition_json():
     tree = subword.vertex_decompose(delta)
     data = subword.decomposition_to_jsonable(tree)
     assert isinstance(data, (dict, str))
+
+
+# -- the descent peel against the left-to-right weak-prefix search --------------
+
+
+def staircase_word(n):
+    return tuple(i + j - 1 for i in range(1, n + 1) for j in range(n - i, 0, -1))
+
+
+def assert_search_matches_reference(word, pi, cox):
+    assert subword_complex(word, pi, cox).facets == subword_facets_by_prefix(word, pi, cox), (word, pi)
+
+
+def test_facets_match_reference_staircase():
+    for n in range(2, 6):
+        cox = symmetric_group(n)
+        for w in perm.all_perms(n):
+            assert_search_matches_reference(staircase_word(n), w, cox)
+
+
+def test_facets_match_reference_square_words():
+    for n in (2, 3):
+        cox = symmetric_group(2 * n)
+        for w in perm.all_perms(2 * n):
+            assert_search_matches_reference(subword.square_word(n), w, cox)
+
+
+def test_facets_match_reference_pentagon():
+    assert_search_matches_reference((3, 2, 3, 2, 3), perm.parse("1432"), COX4)
+
+
+PERMS4 = list(perm.all_perms(4))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.integers(1, 3), max_size=10), st.sampled_from(PERMS4))
+@example([], (1, 2, 3, 4))  # the empty word, whose complex is {empty face}
+@example([], (2, 1, 3, 4))  # void: no letters at all
+@example([1, 1, 2], (1, 3, 2, 4))  # non-reduced word
+@example([2, 1, 2, 1, 2, 1], (3, 2, 1, 4))  # two full reduced words and more
+def test_facets_match_reference_random_words(word, pi):
+    assert_search_matches_reference(word, pi, COX4)
+
+
+def test_descent_rejects_out_of_range_letters():
+    for letter in (0, 4):
+        with pytest.raises(ValueError):
+            COX4.descent(perm.identity(4), letter)
+        with pytest.raises(ValueError):
+            subword_complex((1, letter), (2, 1, 3, 4), COX4)

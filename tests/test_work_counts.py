@@ -6,15 +6,16 @@ import dataclasses
 from schubert import bruhatlab, checks, hilbert, ideal, perm, subword
 
 
-def test_multidegree_recursion_nodes():
-    # the zn2 multidegree recursion from an empty cache: J_15342, then all of S5
-    hilbert._mdeg_of_gens.cache_clear()
+def test_multidegree_recursion_nodes(monkeypatch):
+    # distinct recursion nodes in the zn2 grading from an empty cache:
+    # J_15342, then all of S5
+    monkeypatch.setattr(hilbert, "_K_CACHE", {})
     hilbert.multidegree_of_ideal(ideal.antidiagonal_ideal((1, 5, 3, 4, 2)), "zn2")
-    assert hilbert._mdeg_of_gens.cache_info().misses == 19
-    hilbert._mdeg_of_gens.cache_clear()
+    assert len(hilbert._K_CACHE) == 12
+    hilbert._K_CACHE.clear()
     for w in perm.all_perms(5):
         hilbert.multidegree_of_ideal(ideal.antidiagonal_ideal(w), "zn2")
-    assert hilbert._mdeg_of_gens.cache_info().misses == 666
+    assert len(hilbert._K_CACHE) == 193
 
 
 def test_k_polynomial_recursion_nodes(monkeypatch):
@@ -30,8 +31,8 @@ def test_k_polynomial_recursion_nodes(monkeypatch):
 
     monkeypatch.setattr(hilbert, "_k_of_gens", counting)
     hilbert.k_polynomial(ideal.antidiagonal_ideal(w), "zn2")
-    assert len(calls) == 19
-    assert len(hilbert._K_CACHE) == len(set(calls))
+    assert len(calls) == 14
+    assert len(hilbert._K_CACHE) == len(set(calls)) == 12
 
 
 def test_subword_complex_length_calls():
@@ -44,9 +45,9 @@ def test_subword_complex_length_calls():
     delta = subword.subword_complex(word, w, counting)
     assert delta.facets == subword.subword_complex(word, w, cox).facets
     assert len(delta.facets) == 10
-    # one call for length(w) and one per node that tries a letter; the
-    # search once also measured the current element at every node (381)
-    assert len(calls) == 79
+    # one call, for length(w): the search peels right descents off w, so
+    # the length left is always length(w) minus the positions taken
+    assert len(calls) == 1
 
 
 def test_tau_involution_arrays_built(monkeypatch):
