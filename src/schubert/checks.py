@@ -8,24 +8,20 @@ sizes; check-all may shrink them for a quicker sweep.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from . import bruhatlab, grobner, hilbert, ideal, perm, pipedream, poly, subword
 from .bruhatlab import ExponentArray
-from .poly import LaurentPoly, ONE, xvar, yvar
+from .poly import LaurentPoly, ONE, unit, xvar, yvar
 
 
 def x_monomial(d: pipedream.PipeDream) -> LaurentPoly:
-    exps: dict = {}
-    for (i, _) in d.crosses:
-        exps[xvar(i)] = exps.get(xvar(i), 0) + 1
-    return LaurentPoly.monomial(exps)
+    return LaurentPoly.monomial(Counter(xvar(i) for i, _ in d.crosses))
 
 
 def xy_weight(d: pipedream.PipeDream) -> LaurentPoly:
-    out = ONE
-    for (i, j) in sorted(d.crosses):
-        out = out * (LaurentPoly.variable(xvar(i)) - LaurentPoly.variable(yvar(j)))
-    return out
+    """The product of x_i - y_j over the crosses (i, j) of d."""
+    return poly.binomial_product((unit(xvar(i)), unit(yvar(j))) for i, j in d.crosses)
 
 
 # -- criterion 1: the S3 Schubert table ---------------------------------------
@@ -56,11 +52,8 @@ def intro_fixture() -> tuple[bool, str]:
     if poly.poly_str(s) != "x1^2 + x1*x2 + x1*x3":
         return False, "schubert(2143)"
     g = poly.grothendieck(w)
-    x1 = LaurentPoly.variable(xvar(1))
-    product = (ONE - x1) * (
-        ONE - LaurentPoly.monomial({xvar(1): 1, xvar(2): 1, xvar(3): 1})
-    )
-    if g != product:
+    x123 = LaurentPoly.monomial({xvar(1): 1, xvar(2): 1, xvar(3): 1})
+    if g != (ONE - LaurentPoly.variable(xvar(1))) * (ONE - x123):
         return False, "grothendieck(2143)"
     one_minus_x = {v: ONE - LaurentPoly.variable(v) for v in g.variables()}
     if poly.lowest_degree_terms(g.subs_poly(one_minus_x)) != s:
@@ -76,16 +69,10 @@ def bjs_identity(n: int = 5, double_n: int = 4) -> tuple[bool, str]:
         via_mitosis = pipedream.rp_mitosis(w)
         if via_mitosis != pipedream.rp_bruteforce(w):
             return False, f"RP enumeration mismatch at {w}"
-        total = poly.ZERO
-        for d in via_mitosis:
-            total = total + x_monomial(d)
-        if total != poly.schubert(w):
+        if sum(map(x_monomial, via_mitosis), poly.ZERO) != poly.schubert(w):
             return False, f"BJS sum mismatch at {w}"
     for w in perm.all_perms(double_n):
-        total = poly.ZERO
-        for d in pipedream.rp_mitosis(w):
-            total = total + xy_weight(d)
-        if total != poly.double_schubert(w):
+        if sum(map(xy_weight, pipedream.rp_mitosis(w)), poly.ZERO) != poly.double_schubert(w):
             return False, f"double BJS mismatch at {w}"
     return True, f"S{n} single, S{double_n} double"
 

@@ -63,10 +63,7 @@ def exp_weight(grading: str, cell: Cell) -> dict:
 
 def ord_weight(grading: str, cell: Cell) -> LaurentPoly:
     """Ordinary weight of z_cell: the linear form sum e*v over exp_weight."""
-    out = poly.ZERO
-    for v, e in exp_weight(grading, cell).items():
-        out = out + LaurentPoly.variable(v) * e
-    return out
+    return LaurentPoly.linear(exp_weight(grading, cell))
 
 
 _K_CACHE: dict = {}
@@ -79,32 +76,32 @@ def _k_of_gens(gens: frozenset, grading: str) -> tuple[int, LaurentPoly, Laurent
     hit = _K_CACHE.get(key)
     if hit is not None:
         return hit
-    codim, c, k = 0, ONE, ONE
-    multi, counts = [], {}
+    singles, multi, counts = [], [], {}
     for g in gens:
         if len(g) == 1:
-            (cell,) = g
-            codim += 1
-            c = c * ord_weight(grading, cell)
-            k = k * (ONE - LaurentPoly.monomial(exp_weight(grading, cell)))
+            singles.extend(g)
         else:
             multi.append(g)
             for cell in g:
                 counts[cell] = counts.get(cell, 0) + 1
+    codim, c, k = 0, ONE, ONE
     if multi:
         # by minimality no pivot candidate is also a singleton generator
         v = min(counts, key=lambda cell: (-counts[cell], cell))
         rest = frozenset(g for g in multi if v not in g)
         p_codim, p_c, p_k = _k_of_gens(rest, grading) if rest else (0, ONE, ONE)
         q_codim, q_c, q_k = _k_of_gens(ideal_mod.minimalize(g - {v} for g in multi), grading)
-        low = min(p_codim + 1, q_codim)
-        c_node = poly.ZERO
-        if p_codim + 1 == low:
-            c_node = c_node + ord_weight(grading, v) * p_c
-        if q_codim == low:
-            c_node = c_node + q_c
-        wt = LaurentPoly.monomial(exp_weight(grading, v))
-        codim, c, k = codim + low, c * c_node, k * ((ONE - wt) * p_k + wt * q_k)
+        codim = min(p_codim + 1, q_codim)
+        exps = exp_weight(grading, v)
+        wt = LaurentPoly.monomial(exps)
+        c = LaurentPoly.linear(exps) * p_c if p_codim + 1 == codim else poly.ZERO
+        if q_codim == codim:
+            c = c + q_c
+        k = (ONE - wt) * p_k + wt * q_k
+    for cell in singles:
+        exps = exp_weight(grading, cell)
+        codim, c = codim + 1, c * LaurentPoly.linear(exps)
+        k = k * (ONE - LaurentPoly.monomial(exps))
     result = (codim, c, k)
     _K_CACHE[key] = result
     return result

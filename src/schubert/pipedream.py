@@ -178,6 +178,7 @@ def top_pipe_dream(w: Perm) -> PipeDream:
 def rp_mitosis(w: Perm) -> frozenset:
     """RP(w) generated by mitosis along a reduced word for w0*w, from {D0}."""
     w = perm.validate(w)
+    size_guard(len(w), 8, "rp_mitosis")
     dreams = frozenset([d0(len(w))])
     for i in perm.reduced_word_to_w0(w):
         offspring = [mitosis(i, d) for d in dreams]

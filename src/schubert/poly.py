@@ -17,13 +17,17 @@ digit and raises OverflowError.  ``exponents(m)`` decodes a monomial into its
 sorted (variable, exponent) pairs; only printing, JSON and the variable
 query decode.
 
-The divided difference and Demazure operators act on the x block only.  Both
-are computed term by term from the closed form
+Each kernel makes one pass and fills one term dict, which ``_bounded`` hands
+to the result without a copy: the kernel guarantees that it holds no zero
+coefficient.  The divided difference d_i and the Demazure operator are one
+operator on the x block, sign * d_i(x_{i+1}^lift f), with (lift, sign) =
+(0, +1) and (1, -1), computed term by term from the closed form
 
     (u^a v^b - u^b v^a) / (u - v) = sum_{k=min}^{max-1} u^k v^{a+b-1-k}
 
-with u = x_i, v = x_{i+1}, so no polynomial division ever happens and the
-zero-remainder requirement holds by construction.
+with u = x_i, v = x_{i+1}, so no polynomial division ever happens.
+``binomial_product`` expands a product of binomials a - b, the family tops
+and the pipe-dream weights, one factor at a time.
 
 The family functions (schubert, grothendieck, and their double versions) are
 memoized per permutation; ``functools.cache`` provides the atomic
@@ -34,9 +38,10 @@ from __future__ import annotations
 
 import json
 from functools import cache, reduce
+from itertools import zip_longest
 from math import isqrt
 from operator import or_
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import perm
 from .limits import size_guard
@@ -97,8 +102,8 @@ def _var_at(p: int) -> Var:
     return zvar(r - k - 1, k)
 
 
-def _unit(v: Var) -> Monomial:
-    """The monomial v: a one in v's digit and in the degree digit."""
+def unit(v: Var) -> Monomial:
+    """The packed monomial v: a one in v's digit and in the degree digit."""
     return (1 << (_BITS * _index(v))) + 1
 
 
@@ -154,24 +159,10 @@ def exponents(m: Monomial) -> tuple:
     return tuple(sorted((_var_at(p), e) for p, e in enumerate(_digits(m)) if p and e))
 
 
-def _within(terms, j: int) -> bool:
-    """Whether every digit of these monomials lies in [-2^j, 2^j), j < 15.
-    Lifting each digit by 2^j leaves it in [0, 2^(j+1)) exactly when it is in
-    range, and the lowest digit out of range sets a bit above j in its field."""
-    ones = _ones(_span(terms))
-    lift, high = ones << j, ones * (_MASK ^ ((2 << j) - 1))
-    return not any(map(high.__and__, map(lift.__add__, terms)))
-
-
 def _reach(f: "LaurentPoly") -> int:
-    """A bound on every |exponent| and |degree| of f, computed once per f."""
+    """A bound on every |exponent| and |degree| of f (its largest digit if unset)."""
     if f._reach is None:
-        for j in (3, 13):
-            if _within(f.terms, j):
-                f._reach = 1 << j
-                break
-        else:
-            f._reach = max(abs(d) for m in f.terms for d in _digits(m))
+        f._reach = max((abs(d) for m in f.terms for d in _digits(m)), default=0)
     return f._reach
 
 
@@ -182,33 +173,38 @@ def _product_reach(p: "LaurentPoly", q: "LaurentPoly") -> int:
     if reach < _HALF:
         return reach
     digits = [[_digits(m) for m in f.terms] for f in (p, q)]
-    width = max(len(d) for ds in digits for d in ds)
-    ranges = [
-        [(min(c), max(c)) for c in zip(*(d + [0] * (width - len(d)) for d in ds))]
-        for ds in digits
-    ]
+    ranges = [[(min(c), max(c)) for c in zip_longest(*ds, fillvalue=0)] for ds in digits]
     reach = 0
-    for (lo1, hi1), (lo2, hi2) in zip(*ranges):
+    for (lo1, hi1), (lo2, hi2) in zip_longest(*ranges, fillvalue=(0, 0)):
         _check_exponent(hi1 + hi2, "product exponent")
         _check_exponent(lo1 + lo2, "product exponent")
         reach = max(reach, hi1 + hi2, -lo1 - lo2)
     return reach
 
 
-def _bounded(terms: Mapping, reach: int | None) -> "LaurentPoly":
-    f = LaurentPoly(terms)
-    f._reach = reach
+def _bounded(terms: dict, reach: int | None) -> "LaurentPoly":
+    """A polynomial owning terms, which must hold no zero coefficient."""
+    f = object.__new__(LaurentPoly)
+    f.terms, f._reach = terms, reach
     return f
 
 
-def _max_reach(*fs: "LaurentPoly") -> int | None:
-    return None if any(f._reach is None for f in fs) else max(f._reach for f in fs)
+def _nonzero(terms: dict) -> dict:
+    """terms without its zero coefficients, copied only if it has any."""
+    return terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
 
 
-def _add_into(out: dict, terms: Mapping) -> None:
-    """Accumulate a term dict into the term dict out (zeros may remain)."""
-    for m, c in terms.items():
-        out[m] = out.get(m, 0) + c
+def _combine(f: "LaurentPoly", g: "LaurentPoly", sign: int) -> "LaurentPoly":
+    """f + sign * g, deleting cancelled terms in place."""
+    out = dict(f.terms)
+    get = out.get
+    for m, c in g.terms.items():
+        c = get(m, 0) + sign * c
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    return _bounded(out, None if None in (f._reach, g._reach) else max(f._reach, g._reach))
 
 
 class LaurentPoly:
@@ -220,56 +216,57 @@ class LaurentPoly:
     __slots__ = ("terms", "_reach")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self.terms: dict[Monomial, int] = {
-            m: c for m, c in (terms or {}).items() if c
-        }
+        self.terms: dict[Monomial, int] = {m: c for m, c in (terms or {}).items() if c}
         self._reach: int | None = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return _bounded({}, 0)
-
-    @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        return _bounded({0: c}, 0)
+        return _bounded({0: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, v: Var) -> "LaurentPoly":
-        return _bounded({_unit(v): 1}, 1)
+        return _bounded({unit(v): 1}, 1)
 
     @classmethod
     def monomial(cls, exps: Mapping[Var, int], coeff: int = 1) -> "LaurentPoly":
-        return cls({_pack(exps): coeff})
+        reach = max(abs(sum(exps.values())), *map(abs, exps.values()), 0)  # exact
+        return _bounded(_nonzero({_pack(exps): coeff}), reach)
+
+    @classmethod
+    def linear(cls, coeffs: Mapping[Var, int]) -> "LaurentPoly":
+        """The linear form sum c * v."""
+        return _bounded({unit(v): c for v, c in coeffs.items() if c}, 1)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        _add_into(out, other.terms)
-        return _bounded(out, _max_reach(self, other))
+        return _combine(self, other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return _bounded(out, _max_reach(self, other))
+        return _combine(self, other, -1)
 
     def __neg__(self) -> "LaurentPoly":
         return _bounded({m: -c for m, c in self.terms.items()}, self._reach)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _bounded({m: c * other for m, c in self.terms.items()}, self._reach)
+            return _bounded(_nonzero({m: c * other for m, c in self.terms.items()}), self._reach)
         reach = _product_reach(self, other)
+        p, q = self.terms, other.terms
+        if len(p) == 1:
+            p, q = q, p
+        if len(q) == 1:  # a shift: distinct keys stay distinct
+            ((m2, c2),) = q.items()
+            return _bounded({m1 + m2: c1 * c2 for m1, c1 in p.items()}, reach)
         out: dict = {}
         get = out.get
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
                 key = m1 + m2
                 out[key] = get(key, 0) + c1 * c2
-        return _bounded(out, reach)
+        return _bounded(_nonzero(out), reach)
 
     __rmul__ = __mul__
 
@@ -335,7 +332,7 @@ class LaurentPoly:
 
         Safe for negative exponents because monomials are invertible.
         """
-        table = [(*_reader(v), _pack(image) - _unit(v)) for v, image in mapping.items()]
+        table = [(*_reader(v), _pack(image) - unit(v)) for v, image in mapping.items()]
         # exact while the input and every change stay well inside a digit
         scale = max((abs(d) for *_, delta in table for d in _digits(delta)), default=0)
         safe = (_HALF - 1 - _reach(self)) // max(scale, 1)
@@ -362,13 +359,13 @@ class LaurentPoly:
 
         Mapped variables must appear with nonnegative exponents.
         """
-        table = [(v, *_reader(v), _unit(v)) for v in mapping]
+        table = [(v, *_reader(v), unit(v)) for v in mapping]
         powers: dict[tuple[Var, int], LaurentPoly] = {}
         out: dict[Monomial, int] = {}
         for m, c in self.terms.items():
             acc = LaurentPoly.const(c)
             residual, degree = m, _degree(m)
-            for v, lift, shift, unit in table:
+            for v, lift, shift, u in table:
                 e = (((m + lift) >> shift) & _MASK) - _HALF
                 if not e:
                     continue
@@ -379,55 +376,84 @@ class LaurentPoly:
                 if (v, e) not in powers:
                     powers[v, e] = mapping[v] ** e
                 acc = acc * powers[v, e]
-                residual -= e * unit
+                residual -= e * u
                 degree -= e
             _check_exponent(degree, "total degree")
-            _add_into(out, (acc * LaurentPoly({residual: 1})).terms)
+            for key, term in (acc * LaurentPoly({residual: 1})).terms.items():
+                out[key] = out.get(key, 0) + term
         return LaurentPoly(out)
 
 
-ZERO = LaurentPoly.zero()
+ZERO = LaurentPoly.const(0)
 ONE = LaurentPoly.const(1)
 
 
 # -- operators --------------------------------------------------------------
 
 
-def divided_difference(i: int, f: LaurentPoly) -> LaurentPoly:
-    """The divided difference (f - s_i f) / (x_i - x_{i+1}), acting on x only."""
+def _difference(i: int, f: LaurentPoly, lift: int, sign: int) -> LaurentPoly:
+    """sign * d_i(x_{i+1}^lift * f) in one pass over the terms of f."""
     (la, sa), (lb, sb) = _reader(xvar(i)), _reader(xvar(i + 1))
-    ua, ub = _unit(xvar(i)), _unit(xvar(i + 1))
-    # the x exponents stay in range and the degree drops by one
+    ua, ub = unit(xvar(i)), unit(xvar(i + 1))
+    # x_{i+1}^lift f and the result, whose degree is one less, stay in reach
     reach = _reach(f) + 1
     if reach >= _HALF:
         for m in f.terms:
-            _check_exponent(_degree(m) - 1, "total degree")
+            for e in ((((m + lb) >> sb) & _MASK) - _HALF, _degree(m), _degree(m) - 1):
+                _check_exponent(e + lift, "exponent or degree")
     out: dict[Monomial, int] = {}
     get = out.get
+    step = ua - ub
     for m, c in f.terms.items():
         a = (((m + la) >> sa) & _MASK) - _HALF
-        b = (((m + lb) >> sb) & _MASK) - _HALF
-        if a == b:
+        b = (((m + lb) >> sb) & _MASK) - _HALF + lift
+        if a > b:
+            lo, hi, c = b, a, sign * c
+        elif a < b:
+            lo, hi, c = a, b, -sign * c
+        else:
             continue
-        sign = c if a > b else -c
-        lo, hi = min(a, b), max(a, b)
         # u^k v^{a+b-1-k} for k = lo .. hi-1, one step of u/v at a time
-        key = m + (lo - a) * ua + (hi - 1 - b) * ub
+        key = m + (lo - a) * ua + (hi - 1 - b + lift) * ub
         for _ in range(hi - lo):
-            out[key] = get(key, 0) + sign
-            key += ua - ub
-    return _bounded(out, reach)
+            out[key] = get(key, 0) + c
+            key += step
+    return _bounded(_nonzero(out), reach)
+
+
+def divided_difference(i: int, f: LaurentPoly) -> LaurentPoly:
+    """The divided difference (f - s_i f) / (x_i - x_{i+1}), acting on x only."""
+    return _difference(i, f, 0, 1)
 
 
 def demazure(i: int, f: LaurentPoly) -> LaurentPoly:
     """The Demazure (isobaric divided difference) operator, -d_i(x_{i+1} f)."""
-    return -divided_difference(i, LaurentPoly.variable(xvar(i + 1)) * f)
+    return _difference(i, f, 1, -1)
+
+
+def binomial_product(pairs: Iterable[tuple[Monomial, Monomial]]) -> LaurentPoly:
+    """The product of a - b over pairs (a, b) of packed monomials whose every
+    exponent and degree lies in -1..1 (x_i - y_j, 1 - x_i/y_j), expanded one
+    factor at a time.  Its reach is the number of factors."""
+    pairs = list(pairs)
+    _check_exponent(len(pairs), "number of factors")
+    # +1 per digit keeps every field of m and -m in 0..3 iff no digit leaves -1..1
+    ones = _ones(_span([m for pair in pairs for m in pair]))
+    high = ones * (_MASK ^ 3)
+    if any(high & (ones + m) or high & (ones - m) for pair in pairs for m in pair):
+        raise ValueError("binomial_product: an exponent or a degree outside -1..1")
+    terms = {0: 1}
+    for a, b in pairs:
+        out = {m + a: c for m, c in terms.items()}  # a shift: no two keys meet
+        get = out.get
+        for m, c in terms.items():
+            out[m + b] = get(m + b, 0) - c
+        terms = out
+    return _bounded(_nonzero(terms), len(pairs))
 
 
 def lowest_degree_terms(f: LaurentPoly) -> LaurentPoly:
-    """Sum of the terms of minimal total degree."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has no lowest-degree part")
+    """Sum of the terms of minimal total degree (ValueError on zero)."""
     lo = f.min_total_degree()
     return _bounded({m: c for m, c in f.terms.items() if _degree(m) == lo}, f._reach)
 
@@ -441,30 +467,19 @@ def schubert_top(n: int) -> LaurentPoly:
 
 
 def double_schubert_top(n: int) -> LaurentPoly:
-    out = ONE
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i + j <= n:
-                out = out * (
-                    LaurentPoly.variable(xvar(i)) - LaurentPoly.variable(yvar(j))
-                )
-    return out
+    return binomial_product(
+        (unit(xvar(i)), unit(yvar(j))) for i in range(1, n) for j in range(1, n + 1 - i)
+    )
 
 
 def grothendieck_top(n: int) -> LaurentPoly:
-    out = ONE
-    for i in range(1, n):
-        out = out * (ONE - LaurentPoly.variable(xvar(i))) ** (n - i)
-    return out
+    return binomial_product((0, unit(xvar(i))) for i in range(1, n) for _ in range(n - i))
 
 
 def double_grothendieck_top(n: int) -> LaurentPoly:
-    out = ONE
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i + j <= n:
-                out = out * (ONE - LaurentPoly.monomial({xvar(i): 1, yvar(j): -1}))
-    return out
+    return binomial_product(
+        (0, unit(xvar(i)) - unit(yvar(j))) for i in range(1, n) for j in range(1, n + 1 - i)
+    )
 
 
 def _family(top, step):

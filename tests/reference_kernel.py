@@ -8,6 +8,12 @@ compare the packed kernel with it, and ``ref_one_minus_substitute`` is the
 K(1 - t) expansion that defines a multidegree, the oracle for the pivot
 recursion in schubert.hilbert.
 
+The ``loop_*`` functions are the per-factor ``LaurentPoly`` products that
+built the family tops and the double BJS weight before
+``poly.binomial_product`` expanded them in one term dict; ``ref_demazure``
+is the two-step Demazure operator -d_i(x_{i+1} f) that ``poly.demazure``
+fuses into one pass.
+
 ``coarsen`` and ``coarsen_multidegree`` are the route schubert.hilbert took
 before its recursion ran in the target grading: form the zn2 K-polynomial or
 multidegree, then send each z_ij to its weight.  ``subword_facets_by_prefix``
@@ -21,7 +27,7 @@ from typing import Callable
 
 from schubert import perm, poly
 from schubert.hilbert import GRADINGS, exp_weight, ord_weight
-from schubert.poly import LaurentPoly, xvar
+from schubert.poly import ONE, LaurentPoly, xvar, yvar
 
 
 def ref_canon(exps):
@@ -150,6 +156,41 @@ def ref_one_minus_substitute(p, blocks, bound):
 def ref_lowest_degree_terms(p):
     low = min(map(ref_degree, p))
     return {m: c for m, c in p.items() if ref_degree(m) == low}
+
+
+# -- the per-factor product loops ----------------------------------------------
+
+
+def loop_double_schubert_top(n):
+    out = ONE
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i + j <= n:
+                out = out * (LaurentPoly.variable(xvar(i)) - LaurentPoly.variable(yvar(j)))
+    return out
+
+
+def loop_grothendieck_top(n):
+    out = ONE
+    for i in range(1, n):
+        out = out * (ONE - LaurentPoly.variable(xvar(i))) ** (n - i)
+    return out
+
+
+def loop_double_grothendieck_top(n):
+    out = ONE
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i + j <= n:
+                out = out * (ONE - LaurentPoly.monomial({xvar(i): 1, yvar(j): -1}))
+    return out
+
+
+def loop_xy_weight(d):
+    out = ONE
+    for (i, j) in sorted(d.crosses):
+        out = out * (LaurentPoly.variable(xvar(i)) - LaurentPoly.variable(yvar(j)))
+    return out
 
 
 # -- the zn2-then-substitute coarsening ----------------------------------------

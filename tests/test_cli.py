@@ -196,6 +196,13 @@ def test_size_guard_is_usage_error(capsys, monkeypatch):
     assert "exceeds cap" in err
 
 
+def test_rp_mitosis_past_size_guard_exits_2(capsys, monkeypatch):
+    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+    code, out, err = run(capsys, "rp", "123456789", "--method", "mitosis")
+    assert (code, out) == (2, "")
+    assert err == "error: rp_mitosis: n=9 exceeds cap 8 (set SCHUBERT_MAX_N to override)\n"
+
+
 def test_check_all_deterministic(capsys):
     code, out1, _ = run(capsys, "check-all", "--n", "3")
     assert code == 0

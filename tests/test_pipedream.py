@@ -193,6 +193,19 @@ def test_rp_bruteforce_guard(monkeypatch):
         pipedream.rp_bruteforce(perm.identity(4))
 
 
+def test_rp_mitosis_guard(monkeypatch):
+    # cap 8, one above rp_bruteforce; w0 is the one w whose mitosis is free
+    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+    assert pipedream.rp_mitosis(perm.long_element(8)) == frozenset([pipedream.d0(8)])
+    with pytest.raises(ValueError):
+        pipedream.rp_mitosis(perm.long_element(9))
+    monkeypatch.setenv("SCHUBERT_MAX_N", "9")
+    assert pipedream.rp_mitosis(perm.long_element(9)) == frozenset([pipedream.d0(9)])
+    monkeypatch.setenv("SCHUBERT_MAX_N", "3")
+    with pytest.raises(ValueError):
+        pipedream.rp_mitosis(perm.identity(4))
+
+
 def test_library_dreams_stay_above_antidiagonal():
     for w in perm.all_perms(4):
         for d in pipedream.rp_mitosis(w):
