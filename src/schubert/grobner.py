@@ -32,14 +32,19 @@ installation of Buchberger's algorithm, J. Symbolic Comput. 6 (1988)):
   and both pairs (a, c) and (b, c) are already taken.  Its S-polynomial then
   has a standard representation built from those of (a, c) and (b, c), which
   holds whatever order the pairs are taken in.
+
+An element's coprime pairs, read off per-variable bitmasks of the leads, are
+settled as it joins; the other pairs are taken by normal selection, least
+lcm degree first.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import operator
+import struct
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
@@ -129,51 +134,28 @@ TERM_ORDERS = {
 }
 
 
-# -- monomial helpers ---------------------------------------------------------
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(map(operator.le, a, b))
-
-
-def mono_coprime(a: Mono, b: Mono) -> bool:
-    # exponents are nonnegative, so a product is zero exactly where one is
-    return not any(map(operator.mul, a, b))
-
-
-def mono_cells(m: Mono, n: int) -> frozenset:
-    return frozenset(
-        (k // n + 1, k % n + 1) for k, e in enumerate(m) if e
-    )
-
-
 # -- polynomials --------------------------------------------------------------
+
+
+@cache
+def _signed_permutations(k: int) -> tuple:
+    """(sigma, (-1) ** inversions) for each permutation sigma of range(k)."""
+    return tuple(
+        (s, (-1) ** sum(a > b for a, b in itertools.combinations(s, 2)))
+        for s in itertools.permutations(range(k))
+    )
 
 
 def minor_polynomial(minor: Minor, n: int) -> Poly:
     """Determinant of the named minor, permutation-sign convention."""
-    k = minor.size
     out: Poly = {}
-    for sigma in itertools.permutations(range(k)):
-        sign = perm_sign(sigma)
+    for sigma, sign in _signed_permutations(minor.size):
         exps = [0] * (n * n)
-        for a in range(k):
-            exps[_index(n, minor.rows[a], minor.cols[sigma[a]])] += 1
-        out[tuple(exps)] = out.get(tuple(exps), 0) + sign
+        for r, s in zip(minor.rows, sigma):
+            exps[_index(n, r, minor.cols[s])] += 1
+        m = tuple(exps)
+        out[m] = out.get(m, 0) + sign
     return {m: c for m, c in out.items() if c}
-
-
-def perm_sign(sigma: Sequence[int]) -> int:
-    s = 1
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if sigma[a] > sigma[b]:
-                s = -s
-    return s
 
 
 def initial_term(f: Poly, order: TermOrder) -> tuple[Mono, int]:
@@ -207,7 +189,8 @@ class _Basis:
     Each polynomial's terms are (packed key, packed exponents, coefficient)
     and its leading term is found once, when it is appended.  ``exps`` maps
     the packed key of every monomial met so far to its packed exponents.
-    Iterating gives back the polynomials as they were appended.
+    ``lead_vars`` lists each leading monomial's variables, and ``incidence``
+    per variable the mask of the elements whose leading monomial has it.
     """
 
     def __init__(self, polys: Iterable[Poly], order: TermOrder):
@@ -215,28 +198,25 @@ class _Basis:
         self.nvars = order.n * order.n
         self.guard = sum(1 << (_FIELD * v + _FIELD - 1) for v in range(self.nvars))
         self.exps: dict[int, int] = {}
-        self.polys: list[Poly] = []
         self.terms: list[list[tuple[int, int, int]]] = []
         self.heads: list[tuple[int, int, int]] = []  # leading terms, packed
-        self.leads: list[Mono] = []  # leading monomials
+        self.lead_vars: list[list[int]] = []
+        self.incidence = [0] * self.nvars
         for f in polys:
             self.append(f)
 
     def __len__(self) -> int:
-        return len(self.polys)
+        return len(self.terms)
 
     def __iter__(self):
-        return iter(self.polys)
+        return ({self.mono(e): c for _, e, c in terms} for terms in self.terms)
 
     def pack(self, m: Mono) -> int:
         """The packed key of m; records its packed exponents in ``exps``."""
-        k = e = 0
-        for v, x in enumerate(m):
-            if x:
-                if x >= _EXP_LIMIT:
-                    raise OverflowError(f"exponent above {_EXP_LIMIT - 1}")
-                k += x * self.order.weights[v]
-                e += x << (_FIELD * v)
+        if max(m, default=0) >= _EXP_LIMIT:
+            raise OverflowError(f"exponent above {_EXP_LIMIT - 1}")
+        e = sum(x << (_FIELD * v) for v, x in enumerate(m) if x)
+        k = self.key_of(e)
         self.exps[k] = e
         return k
 
@@ -251,21 +231,37 @@ class _Basis:
             e -= x << shift
         return k
 
-    def unpack(self, h: dict) -> Poly:
-        return {
-            tuple((self.exps[k] >> (_FIELD * v)) & _FIELD_MASK for v in range(self.nvars)): c
-            for k, c in h.items()
-        }
+    def mono(self, e: int) -> Mono:
+        """The monomial with packed exponents e: its 16-bit fields."""
+        return struct.unpack(f"<{self.nvars}H", e.to_bytes(2 * self.nvars, "little"))
 
-    def append(self, f: Poly) -> None:
+    def unpack(self, h: dict) -> Poly:
+        return {self.mono(self.exps[k]): c for k, c in h.items()}
+
+    def append_minor(self, minor: Minor) -> None:
+        """Append minor_polynomial(minor, n), packed from its cells: its rows,
+        and its columns, are distinct, so no two terms meet."""
+        h, n = _Packed(), self.order.n
+        for sigma, sign in _signed_permutations(minor.size):
+            variables = [_index(n, r, minor.cols[s]) for r, s in zip(minor.rows, sigma)]
+            k = sum(map(self.order.weights.__getitem__, variables))
+            self.exps[k] = sum(1 << (_FIELD * v) for v in variables)
+            h[k] = sign
+        self.append(h)
+
+    def append(self, f: dict) -> None:
+        """Append a Poly, or a _Packed polynomial of this basis."""
         if not f:
             raise ValueError("zero polynomial has no initial term")
-        keys = [self.pack(m) for m in f]
-        lead_key, lead = max(zip(keys, f))
-        self.polys.append(f)
-        self.terms.append([(k, self.exps[k], c) for k, c in zip(keys, f.values())])
-        self.heads.append((lead_key, self.exps[lead_key], f[lead]))
-        self.leads.append(lead)
+        if not isinstance(f, _Packed):
+            f = {self.pack(m): c for m, c in f.items()}
+        lead = max(f)
+        fields = self.mono(self.exps[lead])
+        self.lead_vars.append(list(itertools.compress(range(self.nvars), fields)))
+        for v in self.lead_vars[-1]:
+            self.incidence[v] |= 1 << len(self.terms)
+        self.terms.append([(k, self.exps[k], c) for k, c in f.items()])
+        self.heads.append((lead, self.exps[lead], f[lead]))
 
     def _add_multiple(self, h: dict, i: int, qk: int, qe: int, factor: int) -> None:
         """h += factor * q * (element i), q the monomial packed as (qk, qe)."""
@@ -365,45 +361,44 @@ def top_reduce(
     return basis.unpack(basis.reduce({basis.pack(m): c for m, c in f.items()}, max_coeff))
 
 
-def _remainders(basis: _Basis, pairs: Iterable[tuple[int, int]], max_coeff: int = 10**9):
+def _remainders(basis: _Basis, max_coeff: int = 10**9):
     """The pair loop of is_groebner_basis and buchberger: yields the
-    remainder of each pair (a, b), a < b, that neither criterion skips.
-    ``pairs`` gives every pair once, each pair of an element the caller
-    appends included."""
-    taken: list[int] = []  # taken[a]: bit c set once the pair (a, c) is taken
-    leads = basis.leads
-    for a, b in pairs:
-        if b >= len(taken):
-            taken.extend([0] * (b + 1 - len(taken)))
-        taken[a] |= 1 << b
-        taken[b] |= 1 << a
-        if mono_coprime(leads[a], leads[b]):
-            continue
-        lcm = basis.lcm(a, b)
-        if basis.chain(lcm, taken[a] & taken[b]):
+    remainder of each S-pair that neither criterion skips, also for elements
+    appended meanwhile.  The chain test skips elements sharing no variable
+    with lm(a) or lm(b): such a c divides lcm(a, b) only if lm(c) is 1."""
+    heap: list = []
+    shared: list[int] = []  # shared[a]: elements whose lead shares a variable with a's
+    done: list[int] = []  # done[a]: bit c set once the pair (a, c) is taken
+    while True:
+        for t in range(len(shared), len(basis)):
+            mask = 0
+            for v in basis.lead_vars[t]:
+                mask |= basis.incidence[v]
+            shared.append(mask)
+            done.append(0)
+            partners = shared[t] & ((1 << t) - 1)
+            while partners:
+                low = partners & -partners
+                partners ^= low
+                a = low.bit_length() - 1
+                shared[a] |= 1 << t
+                lcm = basis.lcm(a, t)
+                heapq.heappush(heap, (sum(basis.mono(lcm)), lcm, a, t))
+        if not heap:
+            return
+        _, lcm, a, b = heapq.heappop(heap)
+        done[a] |= 1 << b
+        done[b] |= 1 << a
+        # a pair with coprime leads was taken when its later element joined
+        taken = (done[a] | ~shared[a]) & (done[b] | ~shared[b]) & (shared[a] | shared[b])
+        if basis.chain(lcm, taken):
             continue
         yield top_reduce(basis.s_polynomial(a, b, lcm), basis, basis.order, max_coeff)
 
 
-def _normal_selection(basis: _Basis):
-    """Pairs by the degree of their lcm, then the lcm, as the basis grows."""
-    heap: list = []
-    paired = 0
-    while True:
-        for t in range(paired, len(basis)):
-            for a in range(t):
-                lcm = mono_lcm(basis.leads[a], basis.leads[t])
-                heapq.heappush(heap, (sum(lcm), lcm, a, t))
-        paired = len(basis)
-        if not heap:
-            return
-        yield heapq.heappop(heap)[2:]
-
-
 def is_groebner_basis(gens: Sequence[Poly], order: TermOrder) -> bool:
     """Buchberger's criterion: every S-pair reduces to zero."""
-    basis = _prepare(gens, order)
-    return not any(_remainders(basis, itertools.combinations(range(len(basis)), 2)))
+    return not any(_remainders(_prepare(gens, order)))
 
 
 def buchberger(
@@ -411,15 +406,23 @@ def buchberger(
 ) -> list[Poly]:
     """Complete a generating set to a Groebner basis (normal pair selection)."""
     basis = _Basis([strip_content(dict(g), order) for g in gens if g], order)
-    for rem in _remainders(basis, _normal_selection(basis), max_coeff):
+    for rem in _remainders(basis, max_coeff):
         if rem:
             basis.append(strip_content(basis.unpack(rem), order))
-    return basis.polys
+    return list(basis)
+
+
+def _minimal_leads(basis: _Basis) -> frozenset:
+    """Packed exponents of the minimal generators of the initial ideal; a
+    proper multiple of packed exponents is a larger int."""
+    leads = (e for _, e, _ in basis.heads)
+    return ideal_mod.minimalize(leads, lambda a, b: not (b - a) & basis.guard, int)
 
 
 def initial_ideal(basis: Sequence[Poly], order: TermOrder) -> frozenset:
     """Minimal monomial generators of the ideal of initial terms."""
-    return ideal_mod.minimalize(_prepare(basis, order).leads, mono_divides, sum)
+    basis = _prepare(basis, order)
+    return frozenset(map(basis.mono, _minimal_leads(basis)))
 
 
 def verify_theorem_b(w: Perm, order: TermOrder, max_n: int = 5) -> bool:
@@ -435,15 +438,17 @@ def verify_theorem_b(w: Perm, order: TermOrder, max_n: int = 5) -> bool:
     minors = sorted(
         ideal_mod.schubert_generators(w), key=lambda m: (m.size, m.rows, m.cols)
     )
-    basis = _Basis((minor_polynomial(m, n) for m in minors), order)
-    jw = ideal_mod.antidiagonal_ideal(w)
+    basis = _Basis([], order)
+    for minor in minors:
+        basis.append_minor(minor)
+
+    def packed(cells) -> int:  # the squarefree monomial on the cells
+        return sum(1 << (_FIELD * _index(n, i, j)) for i, j in cells)
+
     # definitional sanity: an antidiagonal order picks each minor's antidiagonal
-    for minor, lm in zip(minors, basis.leads):
-        if mono_cells(lm, n) != minor.antidiagonal():
+    for minor, (_, lead, _) in zip(minors, basis.heads):
+        if lead != packed(minor.antidiagonal()):
             return False
-    if not minors:
-        return not jw.generators
     if not is_groebner_basis(basis, order):
         return False
-    computed = {mono_cells(m, n) for m in initial_ideal(basis, order)}
-    return computed == set(jw.generators)
+    return _minimal_leads(basis) == set(map(packed, ideal_mod.antidiagonal_ideal(w).generators))

@@ -41,7 +41,7 @@ from . import perm, poly
 from .ideal import SquarefreeMonomialIdeal
 from .limits import InvariantError, size_guard
 from .perm import Perm
-from .poly import ONE, LaurentPoly, TVAR, xvar, yvar, zvar
+from .poly import ONE, LaurentPoly, TVAR, unit, xvar, yvar, zvar
 
 Cell = tuple[int, int]
 GRADINGS = ("zn2", "z2n", "zn", "z")  # finest to coarsest
@@ -59,11 +59,6 @@ def exp_weight(grading: str, cell: Cell) -> dict:
     if grading == "z":
         return {TVAR: 1}
     raise ValueError(f"unknown grading {grading!r}")
-
-
-def ord_weight(grading: str, cell: Cell) -> LaurentPoly:
-    """Ordinary weight of z_cell: the linear form sum e*v over exp_weight."""
-    return LaurentPoly.linear(exp_weight(grading, cell))
 
 
 _K_CACHE: dict = {}
@@ -129,13 +124,18 @@ def multidegree_additive(
 ) -> LaurentPoly:
     """Sum over facets of the product of ordinary weights of complement cells."""
     vertices = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
-    total = poly.ZERO
+    terms: dict = {}
     for f in facets:
-        term = ONE
-        for cell in sorted(vertices - set(f)):
-            term = term * ord_weight(grading, cell)
-        total = total + term
-    return total
+        shift, pairs = 0, []
+        for cell in vertices - set(f):
+            v, *rest = exp_weight(grading, cell)
+            if rest:
+                pairs.append((unit(v), unit(rest[0])))
+            else:
+                shift += unit(v)
+        for m, c in poly.binomial_product(pairs).terms.items():
+            terms[m + shift] = terms.get(m + shift, 0) + c
+    return LaurentPoly(terms)
 
 
 def theorem_a_check(w: Perm) -> bool:

@@ -82,26 +82,23 @@ def schubert_generators(w: Perm, pruned: bool = True) -> frozenset:
     rank.  That keeps every essential minor (so the set still generates) but
     drops the larger minors the smaller ones imply by Laplace expansion.
     Without ``pruned`` every position contributes, per the raw definition.
-    Duplicate minors collapse either way.
+    Rank never falls going south or east, so only positions where both steps
+    raise it emit: any other has a subset of its same-rank neighbour's minors.
     """
     w = perm.validate(w)
     n = len(w)
-    ranks = perm.rank_matrix(w)
-    if pruned:
-        levels = {ranks[q - 1][p - 1] for (q, p) in essential_cells(w)}
-    else:
-        levels = None
+    # padded south and east with a rank that no position has
+    ranks = [(*row, n + 1) for row in perm.rank_matrix(w)] + [(n + 1,) * (n + 1)]
+    levels = {ranks[q - 1][p - 1] for (q, p) in essential_cells(w)} if pruned else range(n)
     out = set()
     for q in range(1, n + 1):
         for p in range(1, n + 1):
             r = ranks[q - 1][p - 1]
-            if levels is not None and r not in levels:
+            if r not in levels or ranks[q][p - 1] == r or ranks[q - 1][p] == r:
                 continue
-            k = r + 1
-            if k > min(q, p):
-                continue
-            for rows in itertools.combinations(range(1, q + 1), k):
-                for cols in itertools.combinations(range(1, p + 1), k):
+            # none when r + 1 > min(q, p)
+            for rows in itertools.combinations(range(1, q + 1), r + 1):
+                for cols in itertools.combinations(range(1, p + 1), r + 1):
                     out.add(Minor(rows, cols))
     return frozenset(out)
 

@@ -103,12 +103,10 @@ def rank_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
 
     Entry access is ``rank_matrix(w)[q-1][p-1]``.
     """
-    n = len(w)
-    rows = []
-    for q in range(1, n + 1):
-        rows.append(
-            tuple(sum(1 for i in range(q) if w[i] <= p) for p in range(1, n + 1))
-        )
+    rows, row = [], (0,) * len(w)
+    for wq in w:
+        row = tuple(r + (p >= wq) for p, r in enumerate(row, start=1))
+        rows.append(row)
     return tuple(rows)
 
 

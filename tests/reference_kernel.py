@@ -1,5 +1,6 @@
-"""Test-only reference kernels for schubert.poly, schubert.hilbert and
-schubert.subword.
+"""Test-only reference kernels for schubert.poly, schubert.hilbert,
+schubert.subword, and the minors of schubert.perm, schubert.ideal and
+schubert.grobner.
 
 A polynomial is a dict from monomials, sorted tuples of (variable, exponent)
 pairs, to nonzero coefficients, and the arithmetic is done on exponent
@@ -14,19 +15,31 @@ built the family tops and the double BJS weight before
 is the two-step Demazure operator -d_i(x_{i+1} f) that ``poly.demazure``
 fuses into one pass.
 
+``ref_rank_matrix``, ``ref_schubert_generators`` and ``ref_minor_polynomial``
+are the O(n^3) rank matrix, the minor enumeration over every position of
+the grid and the determinant expansion that computes each sign, which
+schubert.perm, schubert.ideal and schubert.grobner replaced by cumulative
+rows, maximal rank positions and a signed-permutation table.
+
+``mono_lcm``, ``mono_divides`` and ``mono_cells`` act on exponent tuples,
+for the Buchberger oracle in test_grobner.
+
 ``coarsen`` and ``coarsen_multidegree`` are the route schubert.hilbert took
 before its recursion ran in the target grading: form the zn2 K-polynomial or
-multidegree, then send each z_ij to its weight.  ``subword_facets_by_prefix``
+multidegree, then send each z_ij to its weight (``ord_weight`` for a
+multidegree).  ``subword_facets_by_prefix``
 is the facet search schubert.subword made before it peeled right descents:
 left to right, keeping the partial products that are weak-order prefixes of
 pi.
 """
 
+import itertools
 from math import comb
-from typing import Callable
+from typing import Callable, Sequence
 
 from schubert import perm, poly
-from schubert.hilbert import GRADINGS, exp_weight, ord_weight
+from schubert.ideal import Minor, essential_cells
+from schubert.hilbert import GRADINGS, exp_weight
 from schubert.poly import ONE, LaurentPoly, xvar, yvar
 
 
@@ -208,6 +221,11 @@ def coarsen(k: LaurentPoly, to: str) -> LaurentPoly:
     return k.subs_monomial(_z_weights(k, to, exp_weight))
 
 
+def ord_weight(grading: str, cell) -> LaurentPoly:
+    """Ordinary weight of z_cell: the linear form sum e*v over exp_weight."""
+    return LaurentPoly.linear(exp_weight(grading, cell))
+
+
 def coarsen_multidegree(c: LaurentPoly, to: str) -> LaurentPoly:
     """Specialise a zn2 multidegree to the grading ``to``."""
     return c.subs_poly(_z_weights(c, to, ord_weight))
@@ -249,3 +267,80 @@ def subword_facets_by_prefix(word, pi, cox) -> frozenset:
     rec(0, (), cox.identity)
     positions = frozenset(range(len(word)))
     return frozenset(positions - p for p in reduced_subwords)
+
+
+# -- monomials as exponent tuples, for the Groebner oracles ---------------------------
+
+
+def mono_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def mono_divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_cells(m, n: int) -> frozenset:
+    return frozenset((k // n + 1, k % n + 1) for k, e in enumerate(m) if e)
+
+
+# -- minors: every position, the O(n^3) rank matrix, signs one at a time ----------
+
+
+def ref_rank_matrix(w):
+    """Northwest rank matrix: entry (q,p) is #{i <= q : w(i) <= p}."""
+    n = len(w)
+    rows = []
+    for q in range(1, n + 1):
+        rows.append(
+            tuple(sum(1 for i in range(q) if w[i] <= p) for p in range(1, n + 1))
+        )
+    return tuple(rows)
+
+
+def ref_schubert_generators(w, pruned: bool = True) -> frozenset:
+    """Minors of size 1 + rank(q, p) in the northwest q x p submatrix, from
+    every position (q, p) (only those at an essential rank level when
+    ``pruned``)."""
+    w = perm.validate(w)
+    n = len(w)
+    ranks = ref_rank_matrix(w)
+    if pruned:
+        levels = {ranks[q - 1][p - 1] for (q, p) in essential_cells(w)}
+    else:
+        levels = None
+    out = set()
+    for q in range(1, n + 1):
+        for p in range(1, n + 1):
+            r = ranks[q - 1][p - 1]
+            if levels is not None and r not in levels:
+                continue
+            k = r + 1
+            if k > min(q, p):
+                continue
+            for rows in itertools.combinations(range(1, q + 1), k):
+                for cols in itertools.combinations(range(1, p + 1), k):
+                    out.add(Minor(rows, cols))
+    return frozenset(out)
+
+
+def ref_perm_sign(sigma: Sequence[int]) -> int:
+    s = 1
+    for a in range(len(sigma)):
+        for b in range(a + 1, len(sigma)):
+            if sigma[a] > sigma[b]:
+                s = -s
+    return s
+
+
+def ref_minor_polynomial(minor: Minor, n: int) -> dict:
+    """Determinant of the named minor, permutation-sign convention."""
+    k = minor.size
+    out = {}
+    for sigma in itertools.permutations(range(k)):
+        sign = ref_perm_sign(sigma)
+        exps = [0] * (n * n)
+        for a in range(k):
+            exps[(minor.rows[a] - 1) * n + (minor.cols[sigma[a]] - 1)] += 1
+        out[tuple(exps)] = out.get(tuple(exps), 0) + sign
+    return {m: c for m, c in out.items() if c}

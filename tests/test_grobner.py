@@ -1,8 +1,10 @@
 import itertools
+import random
 from math import gcd
 
 import pytest
 
+from reference_kernel import mono_cells, mono_divides, mono_lcm, ref_minor_polynomial
 from schubert import grobner, ideal, perm, pipedream
 from schubert.grobner import (
     antidiag_lex_ne,
@@ -10,9 +12,6 @@ from schubert.grobner import (
     diag_lex,
     initial_term,
     minor_polynomial,
-    mono_cells,
-    mono_divides,
-    mono_lcm,
 )
 from schubert.ideal import Minor
 
@@ -113,6 +112,21 @@ def test_minor_polynomial_2x2():
     assert f == {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}
 
 
+def test_minor_polynomial_matches_reference_5x5():
+    # every minor of a 5 x 5 grid, expanded and packed straight from its cells
+    orders = [antidiag_revlex_nw(5), antidiag_lex_ne(5), diag_lex(5)]
+    for k in range(1, 6):
+        for rows in itertools.combinations(range(1, 6), k):
+            for cols in itertools.combinations(range(1, 6), k):
+                minor = Minor(rows, cols)
+                ref = ref_minor_polynomial(minor, 5)
+                assert minor_polynomial(minor, 5) == ref
+                for order in orders:
+                    basis = grobner._Basis([], order)
+                    basis.append_minor(minor)
+                    assert list(basis) == [ref]
+
+
 def test_2143_minors_are_groebner_for_antidiagonal_orders():
     gens = [
         minor_polynomial(m, 4) for m in ideal.schubert_generators((2, 1, 4, 3))
@@ -167,6 +181,49 @@ def test_criterion_matches_reference(n):
             verdicts.add((order.antidiagonal, verdict))
     # the antidiagonal orders always accept; the diagonal order rejects some w
     assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def _random_polys(rng, n):
+    """Two or three polynomials on terms drawn from four monomials of at most
+    two variables with exponents up to 3, so leading monomials repeat and
+    may be constants or not squarefree."""
+    pool = []
+    for _ in range(4):
+        m = [0] * (n * n)
+        for v in rng.sample(range(n * n), rng.randint(0, 2)):
+            m[v] = rng.randint(1, 3)
+        pool.append(tuple(m))
+    return [
+        {m: rng.choice((-3, -2, -1, 1, 2)) for m in rng.sample(pool, rng.randint(1, 3))}
+        for _ in range(rng.randint(2, 3))
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_sets_match_reference(n):
+    # the support masks where support is not exponent: lead exponents up to
+    # 3, constant polynomials and repeated leading monomials
+    rng = random.Random(2024 + n)
+    orders = [antidiag_revlex_nw(n), antidiag_lex_ne(n), diag_lex(n)]
+    seen = set()
+    for _ in range(150):
+        gens = _random_polys(rng, n)
+        for order in orders:
+            verdict = grobner.is_groebner_basis(gens, order)
+            assert verdict == reference_is_groebner_basis(gens, order), (gens, order.name)
+            basis = grobner.buchberger(gens, order)
+            assert basis[: len(gens)] == [grobner.strip_content(g, order) for g in gens]
+            assert grobner.is_groebner_basis(basis, order)
+            assert reference_is_groebner_basis(basis, order), (gens, order.name)
+            leads = [initial_term(g, order)[0] for g in gens]
+            seen.add(verdict)
+            if not all(map(any, leads)):
+                seen.add("constant")
+            if len(set(leads)) < len(leads):
+                seen.add("repeated")
+            if max(map(max, leads)) > 1:
+                seen.add("power")
+    assert seen == {True, False, "constant", "repeated", "power"}
 
 
 SYMPY_CASES = [
@@ -233,6 +290,14 @@ def test_verify_theorem_b_s5():
         assert grobner.verify_theorem_b(w, antidiag_lex_ne(5))
 
 
+def test_verify_theorem_b_s6_sample():
+    # a seeded sixth of S6; all of it runs under --runslow (criterion 4)
+    sample = random.Random(6).sample(list(perm.all_perms(6)), 120)
+    for w in sample:
+        assert grobner.verify_theorem_b(w, antidiag_revlex_nw(6), max_n=6)
+        assert grobner.verify_theorem_b(w, antidiag_lex_ne(6), max_n=6)
+
+
 def test_verify_theorem_b_165_minors():
     w = perm.parse("13865742")
     assert len(ideal.schubert_generators(w)) == 165
@@ -241,26 +306,31 @@ def test_verify_theorem_b_165_minors():
 
 
 def test_reduction_count_gate(monkeypatch):
-    # S-pairs reduced for one S6 instance: a change that silently reduces
-    # more pairs fails here.  The product and chain criteria leave 131 of
-    # the 308 pairs whose leading monomials share a variable.
-    w = perm.parse("136542")
-    reduced = []
-    top_reduce = grobner.top_reduce
+    # S-pairs reduced, and pairs visited, for two instances under both
+    # antidiagonal orders: a change that silently does more work fails here.
+    # The loop visits only the pairs whose leading monomials share a
+    # variable (one lcm each); normal selection and the chain criterion
+    # leave 80 of 308 and 704 of 4291 to reduce (131 and 1463 when pairs
+    # went in index order).
+    counts = {"reduced": 0, "pairs": 0}
+    top_reduce, lcm = grobner.top_reduce, grobner._Basis.lcm
 
-    def counting(*args, **kwargs):
-        reduced.append(1)
+    def counting_reduce(*args, **kwargs):
+        counts["reduced"] += 1
         return top_reduce(*args, **kwargs)
 
-    monkeypatch.setattr(grobner, "top_reduce", counting)
-    for order in (antidiag_revlex_nw(6), antidiag_lex_ne(6)):
-        reduced.clear()
-        assert grobner.verify_theorem_b(w, order, max_n=6)
-        leads = [initial_term(g, order)[0] for g in gens_of(w)]
-        sharing = sum(
-            not grobner.mono_coprime(a, b) for a, b in itertools.combinations(leads, 2)
-        )
-        assert (len(reduced), sharing) == (131, 308)
+    def counting_lcm(self, a, b):
+        counts["pairs"] += 1
+        return lcm(self, a, b)
+
+    monkeypatch.setattr(grobner, "top_reduce", counting_reduce)
+    monkeypatch.setattr(grobner._Basis, "lcm", counting_lcm)
+    for word, reduced, pairs in (("136542", 80, 308), ("13865742", 704, 4291)):
+        w = perm.parse(word)
+        for order in (antidiag_revlex_nw(len(w)), antidiag_lex_ne(len(w))):
+            counts.update(reduced=0, pairs=0)
+            assert grobner.verify_theorem_b(w, order, max_n=len(w))
+            assert counts == {"reduced": reduced, "pairs": pairs}, (word, order.name)
 
 
 def test_verify_theorem_b_w0_trivial():

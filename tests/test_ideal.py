@@ -1,7 +1,9 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference_kernel import ref_schubert_generators
 from schubert import ideal, perm, pipedream
 from schubert.ideal import Minor
 
@@ -29,6 +31,21 @@ def test_schubert_generators_13865742():
     gens = ideal.schubert_generators((1, 3, 8, 6, 5, 7, 4, 2))
     by_size = Counter(m.size for m in gens)
     assert by_size == {2: 21, 3: 144}
+
+
+def test_schubert_generators_match_every_position_s1_to_s6():
+    # maximal rank positions give the minors of every position
+    for n in range(1, 7):
+        for w in perm.all_perms(n):
+            for pruned in (True, False):
+                assert ideal.schubert_generators(w, pruned) == ref_schubert_generators(w, pruned)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.sampled_from([7, 8]).flatmap(lambda n: st.permutations(range(1, n + 1))), st.booleans())
+def test_schubert_generators_match_every_position_s7_s8(w, pruned):
+    w = tuple(w)
+    assert ideal.schubert_generators(w, pruned) == ref_schubert_generators(w, pruned)
 
 
 def test_minor_antidiagonal():

@@ -1,3 +1,6 @@
+from hypothesis import given, settings, strategies as st
+
+from reference_kernel import ref_rank_matrix
 from schubert import perm
 
 
@@ -62,6 +65,18 @@ def test_rank_matrix_monotone_and_invertible():
                     assert r[q][p] - r[q - 1][p] in (0, 1)
         assert r[3][3] == 4
         assert perm.permutation_from_rank_matrix(r) == w
+
+
+def test_rank_matrix_matches_reference_s1_to_s6():
+    for n in range(1, 7):
+        for w in perm.all_perms(n):
+            assert perm.rank_matrix(w) == ref_rank_matrix(w)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.sampled_from([7, 8]).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_rank_matrix_matches_reference_s7_s8(w):
+    assert perm.rank_matrix(tuple(w)) == ref_rank_matrix(tuple(w))
 
 
 def test_apply_right_transposition():
