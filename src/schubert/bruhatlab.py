@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import ideal as ideal_mod
 from . import perm, pipedream
@@ -176,9 +176,7 @@ def promoter_size(i: int, w: Perm, b: ExponentArray) -> int:
 def lifted_demazure(i: int, w: Perm, b: ExponentArray) -> list[ExponentArray]:
     """[b, mu_i(b), ..., mu_i^{|prom|}(b)] for length(w s_i) < length(w)."""
     w = perm.validate(w)
-    ws = perm.apply_right_transposition(w, i)
-    if perm.length(ws) >= perm.length(w):
-        raise ValueError("need length(w s_i) < length(w)")
+    perm.descend(w, i)  # ValueError unless i is a right descent of w
     if not standard_test(b, w):
         raise ValueError("z^b must be standard for J_w")
     out = [b]
@@ -187,13 +185,15 @@ def lifted_demazure(i: int, w: Perm, b: ExponentArray) -> list[ExponentArray]:
     return out
 
 
-def standard_arrays(w: Perm, max_entry: int) -> list[ExponentArray]:
-    """Every array with entries 0..max_entry that is standard for J_w, once.
+def standard_arrays(w: Perm, max_entry: int) -> Iterator[ExponentArray]:
+    """Every array with entries 0..max_entry that is standard for J_w, once,
+    built one at a time as the iterator is read.
 
     The supports are the faces of the Stanley-Reisner complex of J_w (the
     subsets of its facets); each face carries every choice of entries
     1..max_entry on its cells, row by row.  There are up to
-    (max_entry + 1)^(n^2) of them, so n is capped at 4.
+    (max_entry + 1)^(n^2) of them, so n is capped at 4.  The input is
+    checked and the faces found at the call.
     """
     w = perm.validate(w)
     n = len(w)
@@ -207,13 +207,13 @@ def standard_arrays(w: Perm, max_entry: int) -> list[ExponentArray]:
                 break
             face = (face - 1) & full
     row_bits = (1 << n) - 1
-    return [
+    return (
         ExponentArray(n, rows)
         for face in sorted(faces)
         for rows in itertools.product(
             *(_rows_on(face >> r & row_bits, n, max_entry) for r in range(0, n * n, n))
         )
-    ]
+    )
 
 
 @cache
@@ -228,12 +228,8 @@ def _rows_on(bits: int, n: int, max_entry: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class GeneDissection:
-    row: int
-    start_codon: int                      # column of the start codon
-    promoter_columns: tuple               # columns strictly west of the start
     intron_columns: tuple                 # (first, last) column per intron
     exon_boxes: tuple                     # (first, last) box index per exon
-    stop_codon: Cell                      # (row + 1, n)
 
 
 def dissect_gene(i: int, start: int, b: ExponentArray) -> GeneDissection:
@@ -261,14 +257,7 @@ def dissect_gene(i: int, start: int, b: ExponentArray) -> GeneDissection:
         col_lo = start + (o - 1) // 2
         col_hi = start + e // 2 - 1
         introns.append((col_lo, col_hi))
-    return GeneDissection(
-        row=i,
-        start_codon=start,
-        promoter_columns=tuple(range(1, start)),
-        intron_columns=tuple(introns),
-        exon_boxes=tuple(exons),
-        stop_codon=(i + 1, n),
-    )
+    return GeneDissection(intron_columns=tuple(introns), exon_boxes=tuple(exons))
 
 
 def _balance_intron(top: list[int], bottom: list[int], lo: int, hi: int, d: int) -> None:
@@ -351,9 +340,7 @@ def mitosis_facet_bridge(w: Perm, i: int) -> bool:
     w = perm.validate(w)
     n = len(w)
     size_guard(n, 5, "mitosis_facet_bridge")
-    ws = perm.apply_right_transposition(w, i)
-    if perm.length(ws) >= perm.length(w):
-        raise ValueError("need length(w s_i) < length(w)")
+    ws = perm.descend(w, i)
 
     facets = ideal_mod.stanley_reisner_facets(ideal_mod.antidiagonal_ideal(w))
     all_offspring: list[frozenset] = []

@@ -138,32 +138,17 @@ def pentagon_structure_1432() -> tuple[bool, str]:
     loose = sorted(frozenset.union(*facets) - cone)
     if len(cone) != 11 or len(loose) != 5:
         return False, "1432 cone split"
-    edges = {
-        (u, v)
-        for u, v in itertools.combinations(loose, 2)
-        if any({u, v} <= f for f in facets)
-    }
+    # each facet is the cone plus the two ends of one skeleton edge
+    edges = {f - cone for f in facets}
     if len(edges) != 5:
         return False, "1432 skeleton edge count"
-    degree = {v: 0 for v in loose}
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    if any(d != 2 for d in degree.values()):
+    degree = Counter(v for e in edges for v in e)
+    if any(degree[v] != 2 for v in loose):
         return False, "1432 skeleton degrees"
     # 5 edges, all degrees 2: a 5-cycle iff connected
-    adj = {v: [] for v in loose}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    reach = set()
-    stack = [loose[0]]
-    while stack:
-        v = stack.pop()
-        if v in reach:
-            continue
-        reach.add(v)
-        stack.extend(adj[v])
+    reach = {loose[0]}
+    for _ in loose:
+        reach |= {v for e in edges if e & reach for v in e}
     if reach != set(loose):
         return False, "1432 skeleton disconnected"
     return True, ""
@@ -247,9 +232,8 @@ def subword_checks(n: int = 4) -> tuple[bool, str]:
 def tau_involution(n: int = 3, max_entry: int = 2) -> tuple[bool, str]:
     checked = 0
     for w in perm.all_perms(n):
-        arrays = bruhatlab.standard_arrays(w, max_entry)
-        for i in range(1, n):
-            for b in arrays:
+        for b in bruhatlab.standard_arrays(w, max_entry):
+            for i in range(1, n):
                 tb = bruhatlab.intron_mutation(i, w, b)
                 if bruhatlab.intron_mutation(i, w, tb) != b:
                     return False, f"tau^2 != id at {w}, i={i}"

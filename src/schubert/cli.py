@@ -110,7 +110,6 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_gb_verify(args) -> int:
-    order_names = [args.order]
     if args.all_s4:
         perms = list(perm.all_perms(4))
     else:
@@ -120,24 +119,22 @@ def cmd_gb_verify(args) -> int:
     results = []
     ok = True
     for w in perms:
-        n = len(w)
-        for name in order_names:
-            order = grobner.TERM_ORDERS[name](n)
-            if not order.antidiagonal:
-                raise UsageError(f"gb-verify needs an antidiagonal order, not {name!r}")
-            t0 = time.perf_counter()
-            passed = grobner.verify_theorem_b(w, order)
-            dt = time.perf_counter() - t0
-            ok = ok and passed
-            results.append(
-                {
-                    "permutation": list(w),
-                    "order": name,
-                    "pass": passed,
-                    "generators": len(ideal.schubert_generators(w)),
-                    "seconds": round(dt, 4),
-                }
-            )
+        order = grobner.TERM_ORDERS[args.order](len(w))
+        if not order.antidiagonal:
+            raise UsageError(f"gb-verify needs an antidiagonal order, not {args.order!r}")
+        t0 = time.perf_counter()
+        passed = grobner.verify_theorem_b(w, order)
+        dt = time.perf_counter() - t0
+        ok = ok and passed
+        results.append(
+            {
+                "permutation": list(w),
+                "order": args.order,
+                "pass": passed,
+                "generators": len(ideal.schubert_generators(w)),
+                "seconds": round(dt, 4),
+            }
+        )
     if args.json:
         print(json.dumps(results))
     else:
@@ -150,18 +147,10 @@ def cmd_gb_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_kpoly(args) -> int:
+def cmd_invariant(args) -> int:
+    """The kpoly and multidegree verbs: one invariant of k[z]/J_w."""
     w = parse_permutation(args.permutation)
-    _emit_poly(hilbert.k_polynomial(ideal.antidiagonal_ideal(w), args.grading), args.json)
-    return 0
-
-
-def cmd_multidegree(args) -> int:
-    w = parse_permutation(args.permutation)
-    _emit_poly(
-        hilbert.multidegree_of_ideal(ideal.antidiagonal_ideal(w), args.grading),
-        args.json,
-    )
+    _emit_poly(args.invariant(ideal.antidiagonal_ideal(w), args.grading), args.json)
     return 0
 
 
@@ -272,17 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(func=cmd_gb_verify)
 
-    p = sub.add_parser("kpoly", help="K-polynomial of k[z]/J_w")
-    p.add_argument("permutation")
-    p.add_argument("--grading", choices=list(hilbert.GRADINGS), default="zn")
-    add_json(p)
-    p.set_defaults(func=cmd_kpoly)
-
-    p = sub.add_parser("multidegree", help="multidegree of k[z]/J_w")
-    p.add_argument("permutation")
-    p.add_argument("--grading", choices=list(hilbert.GRADINGS), default="zn")
-    add_json(p)
-    p.set_defaults(func=cmd_multidegree)
+    for verb, help_text, invariant in (
+        ("kpoly", "K-polynomial of k[z]/J_w", hilbert.k_polynomial),
+        ("multidegree", "multidegree of k[z]/J_w", hilbert.multidegree_of_ideal),
+    ):
+        p = sub.add_parser(verb, help=help_text)
+        p.add_argument("permutation")
+        p.add_argument("--grading", choices=list(hilbert.GRADINGS), default="zn")
+        add_json(p)
+        p.set_defaults(func=cmd_invariant, invariant=invariant)
 
     p = sub.add_parser("subword", help="facets of a subword complex")
     p.add_argument("--word", required=True, help='letters, e.g. "3,2,3,2,3"')

@@ -74,22 +74,21 @@ def essential_cells(w: Perm) -> set[Cell]:
     }
 
 
-def schubert_generators(w: Perm, pruned: bool = True) -> frozenset:
+def schubert_generators(w: Perm) -> frozenset:
     """Minors of size 1 + rank(q, p) in the northwest q x p submatrix.
 
-    With ``pruned`` only positions at an essential rank level emit minors:
-    a position (q, p) contributes iff some Fulton-essential cell shares its
-    rank.  That keeps every essential minor (so the set still generates) but
-    drops the larger minors the smaller ones imply by Laplace expansion.
-    Without ``pruned`` every position contributes, per the raw definition.
-    Rank never falls going south or east, so only positions where both steps
-    raise it emit: any other has a subset of its same-rank neighbour's minors.
+    Only positions at an essential rank level emit minors: a position (q, p)
+    contributes iff some Fulton-essential cell shares its rank.  That keeps
+    every essential minor (so the set still generates) but drops the larger
+    minors the smaller ones imply by Laplace expansion.  Rank never falls
+    going south or east, so only positions where both steps raise it emit:
+    any other has a subset of its same-rank neighbour's minors.
     """
     w = perm.validate(w)
     n = len(w)
     # padded south and east with a rank that no position has
     ranks = [(*row, n + 1) for row in perm.rank_matrix(w)] + [(n + 1,) * (n + 1)]
-    levels = {ranks[q - 1][p - 1] for (q, p) in essential_cells(w)} if pruned else range(n)
+    levels = {ranks[q - 1][p - 1] for (q, p) in essential_cells(w)}
     out = set()
     for q in range(1, n + 1):
         for p in range(1, n + 1):

@@ -86,6 +86,14 @@ def apply_left_transposition(i: int, w: Perm) -> Perm:
     return tuple(swap.get(v, v) for v in w)
 
 
+def descend(w: Perm, i: int) -> Perm:
+    """w * s_i for a right descent i of w, one step down the weak order."""
+    ws = apply_right_transposition(w, i)
+    if w[i - 1] < w[i]:
+        raise ValueError("need length(w s_i) < length(w)")
+    return ws
+
+
 def descents(w: Perm) -> tuple[int, ...]:
     return tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
@@ -108,26 +116,6 @@ def rank_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
         row = tuple(r + (p >= wq) for p, r in enumerate(row, start=1))
         rows.append(row)
     return tuple(rows)
-
-
-def permutation_from_rank_matrix(r: Sequence[Sequence[int]]) -> Perm:
-    """Invert rank_matrix: w(q) is the unique p where the rank jumps by 1."""
-    n = len(r)
-
-    def entry(q: int, p: int) -> int:
-        if q == 0 or p == 0:
-            return 0
-        return r[q - 1][p - 1]
-
-    images = []
-    for q in range(1, n + 1):
-        for p in range(1, n + 1):
-            if entry(q, p) - entry(q - 1, p) - entry(q, p - 1) + entry(q - 1, p - 1) == 1:
-                images.append(p)
-                break
-        else:
-            raise ValueError("not a permutation rank matrix")
-    return validate(images)
 
 
 def reduced_word_to_w0(w: Perm) -> tuple[int, ...]:

@@ -141,20 +141,6 @@ def all_chute_moves(d: PipeDream) -> Iterator[PipeDream]:
                     break  # longer rectangles would have a cross gap in row q
 
 
-def mitosis_via_chutes(i: int, d: PipeDream) -> frozenset:
-    """Mitosis computed by the chute procedure; cross-check for mitosis()."""
-    cols = mitosis_columns(i, d)
-    if not cols:
-        return frozenset()
-    out = []
-    cur = PipeDream(d.n, d.crosses - {(i, cols[0])})
-    out.append(cur)
-    for prev, nxt in zip(cols, cols[1:]):
-        cur = chute(cur, ((i, nxt), (i + 1, prev)))
-        out.append(cur)
-    return frozenset(out)
-
-
 def top_pipe_dream(w: Perm) -> PipeDream:
     """The unique reduced pipe dream for w whose every cross below row 1 has a
     cross due north of it.

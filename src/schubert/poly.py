@@ -305,27 +305,12 @@ class LaurentPoly:
         support = reduce(or_, map(lift.__xor__, map(lift.__add__, self.terms)), 0)
         return {_var_at(p) for p in range(1, k) if (support >> (_BITS * p)) & _MASK}
 
-    def coefficient_sum(self) -> int:
-        """The value at every variable = 1."""
-        return sum(self.terms.values())
-
     def min_total_degree(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
         return min(map(_degree, self.terms))
 
     # -- substitutions -----------------------------------------------------
-
-    def swap_x(self, i: int) -> "LaurentPoly":
-        """Apply s_i to the x block: exchange x_i and x_{i+1}."""
-        (la, sa), (lb, sb) = _reader(xvar(i)), _reader(xvar(i + 1))
-        step = (1 << sa) - (1 << sb)
-        out: dict[Monomial, int] = {}
-        for m, c in self.terms.items():
-            ea = (((m + la) >> sa) & _MASK) - _HALF
-            eb = (((m + lb) >> sb) & _MASK) - _HALF
-            out[m + (eb - ea) * step] = c
-        return _bounded(out, self._reach)
 
     def subs_monomial(self, mapping: Mapping[Var, Mapping[Var, int]]) -> "LaurentPoly":
         """Substitute a Laurent monomial for each mapped variable.
@@ -487,10 +472,10 @@ def _family(top, step):
 
     @cache
     def value(w: Perm) -> LaurentPoly:
-        word = perm.reduced_word_to_w0(w)
-        if not word:
+        # step up the weak order at the first ascent of w
+        i = next((i for i in range(1, len(w)) if w[i - 1] < w[i]), None)
+        if i is None:
             return top(len(w))
-        i = word[-1]
         return step(i, value(perm.apply_right_transposition(w, i)))
 
     return value
@@ -591,25 +576,3 @@ def poly_to_jsonable(f: LaurentPoly) -> list[dict]:
 
 def poly_to_json(f: LaurentPoly) -> str:
     return json.dumps(poly_to_jsonable(f))
-
-
-def _var_from_name(name: str) -> Var:
-    if name == "t":
-        return TVAR
-    block = name[0]
-    if block == "z":
-        body = name[1:]
-        if "_" in body:
-            i, j = body.split("_")
-        else:
-            i, j = body[0], body[1]
-        return zvar(int(i), int(j))
-    return (block, int(name[1:]))
-
-
-def poly_from_jsonable(data: list[dict]) -> LaurentPoly:
-    out: dict[Monomial, int] = {}
-    for term in data:
-        key = _pack({_var_from_name(k): int(e) for k, e in term["exps"].items()})
-        out[key] = out.get(key, 0) + int(term["coeff"])
-    return LaurentPoly(out)

@@ -19,7 +19,6 @@ its loop.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -84,22 +83,6 @@ def contains(word: Sequence[int], pi, cox: CoxeterSystem) -> bool:
         if cox.descent(v, i):
             v = cox.right_mul(v, i)
     return v == cox.identity
-
-
-def contains_bruteforce(word: Sequence[int], pi, cox: CoxeterSystem) -> bool:
-    """Oracle for contains(): try every subword of the right length."""
-    k = cox.length(pi)
-    for positions in itertools.combinations(range(len(word)), k):
-        el = cox.identity
-        ok = True
-        for p in positions:
-            if cox.descent(el, word[p]):
-                ok = False
-                break
-            el = cox.right_mul(el, word[p])
-        if ok and el == pi:
-            return True
-    return k == 0 and pi == cox.identity
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,12 @@ rows, maximal rank positions and a signed-permutation table.
 ``mono_lcm``, ``mono_divides`` and ``mono_cells`` act on exponent tuples,
 for the Buchberger oracle in test_grobner.
 
+``swap_x``, ``poly_from_jsonable``, ``permutation_from_rank_matrix``,
+``contains_bruteforce`` and ``mitosis_via_chutes`` are second routes and
+inverses that only the tests read: s_i on the packed x block, JSON back to
+a polynomial, the rank matrix back to w, every subword of the right length,
+and mitosis as a sequence of chute moves.
+
 ``coarsen`` and ``coarsen_multidegree`` are the route schubert.hilbert took
 before its recursion ran in the target grading: form the zn2 K-polynomial or
 multidegree, then send each z_ij to its weight (``ord_weight`` for a
@@ -37,10 +43,11 @@ import itertools
 from math import comb
 from typing import Callable, Sequence
 
-from schubert import perm, poly
+from schubert import perm, pipedream, poly
 from schubert.ideal import Minor, essential_cells
 from schubert.hilbert import GRADINGS, exp_weight
-from schubert.poly import ONE, LaurentPoly, xvar, yvar
+from schubert.pipedream import PipeDream
+from schubert.poly import ONE, TVAR, LaurentPoly, xvar, yvar, zvar
 
 
 def ref_canon(exps):
@@ -344,3 +351,91 @@ def ref_minor_polynomial(minor: Minor, n: int) -> dict:
             exps[(minor.rows[a] - 1) * n + (minor.cols[sigma[a]] - 1)] += 1
         out[tuple(exps)] = out.get(tuple(exps), 0) + sign
     return {m: c for m, c in out.items() if c}
+
+
+# -- second routes and inverses that only the tests read --------------------------
+
+
+def swap_x(f: LaurentPoly, i: int) -> LaurentPoly:
+    """Apply s_i to the x block of a packed polynomial: exchange x_i and x_{i+1}."""
+    (la, sa), (lb, sb) = poly._reader(xvar(i)), poly._reader(xvar(i + 1))
+    step = (1 << sa) - (1 << sb)
+    out = {}
+    for m, c in f.terms.items():
+        ea = (((m + la) >> sa) & poly._MASK) - poly._HALF
+        eb = (((m + lb) >> sb) & poly._MASK) - poly._HALF
+        out[m + (eb - ea) * step] = c
+    return poly._bounded(out, f._reach)
+
+
+def _var_from_name(name: str):
+    if name == "t":
+        return TVAR
+    block = name[0]
+    if block == "z":
+        body = name[1:]
+        if "_" in body:
+            i, j = body.split("_")
+        else:
+            i, j = body[0], body[1]
+        return zvar(int(i), int(j))
+    return (block, int(name[1:]))
+
+
+def poly_from_jsonable(data: list) -> LaurentPoly:
+    """Inverse of poly.poly_to_jsonable."""
+    out = {}
+    for term in data:
+        key = poly._pack({_var_from_name(k): int(e) for k, e in term["exps"].items()})
+        out[key] = out.get(key, 0) + int(term["coeff"])
+    return LaurentPoly(out)
+
+
+def permutation_from_rank_matrix(r):
+    """Invert perm.rank_matrix: w(q) is the unique p where the rank jumps by 1."""
+    n = len(r)
+
+    def entry(q: int, p: int) -> int:
+        if q == 0 or p == 0:
+            return 0
+        return r[q - 1][p - 1]
+
+    images = []
+    for q in range(1, n + 1):
+        for p in range(1, n + 1):
+            if entry(q, p) - entry(q - 1, p) - entry(q, p - 1) + entry(q - 1, p - 1) == 1:
+                images.append(p)
+                break
+        else:
+            raise ValueError("not a permutation rank matrix")
+    return perm.validate(images)
+
+
+def contains_bruteforce(word, pi, cox) -> bool:
+    """Oracle for subword.contains: try every subword of the right length."""
+    k = cox.length(pi)
+    for positions in itertools.combinations(range(len(word)), k):
+        el = cox.identity
+        ok = True
+        for p in positions:
+            if cox.descent(el, word[p]):
+                ok = False
+                break
+            el = cox.right_mul(el, word[p])
+        if ok and el == pi:
+            return True
+    return k == 0 and pi == cox.identity
+
+
+def mitosis_via_chutes(i: int, d: PipeDream) -> frozenset:
+    """Mitosis computed by the chute procedure; cross-check for pipedream.mitosis."""
+    cols = pipedream.mitosis_columns(i, d)
+    if not cols:
+        return frozenset()
+    out = []
+    cur = PipeDream(d.n, d.crosses - {(i, cols[0])})
+    out.append(cur)
+    for prev, nxt in zip(cols, cols[1:]):
+        cur = pipedream.chute(cur, ((i, nxt), (i + 1, prev)))
+        out.append(cur)
+    return frozenset(out)

@@ -3,8 +3,10 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from reference_kernel import swap_x
 from schubert import bruhatlab, checks, ideal, perm, poly
 from schubert.bruhatlab import ExponentArray
+from schubert.limits import SizeGuardError
 from schubert.poly import xvar
 
 
@@ -165,7 +167,7 @@ def test_intron_mutation_x_weight_property():
 
                 lhs = xdeg(tb)
                 xa = xdeg(b) * poly.LaurentPoly.monomial({xvar(i + 1): -l})
-                rhs = xa.swap_x(i) * poly.LaurentPoly.monomial({xvar(i + 1): l})
+                rhs = swap_x(xa, i) * poly.LaurentPoly.monomial({xvar(i + 1): l})
                 assert lhs == rhs
 
 
@@ -255,7 +257,7 @@ def test_standard_arrays_match_the_filter():
             universe = [(b, b.support()) for b in all_arrays(n, max_entry)]
             for w in perm.all_perms(n):
                 jw = ideal.antidiagonal_ideal(w)
-                arrays = bruhatlab.standard_arrays(w, max_entry)
+                arrays = list(bruhatlab.standard_arrays(w, max_entry))
                 assert len(arrays) == len(set(arrays))
                 assert set(arrays) == {
                     b for b, support in universe if not ideal.monomial_in_ideal(support, jw)
@@ -264,6 +266,15 @@ def test_standard_arrays_match_the_filter():
     s3 = [counts[w, 2] for w in perm.all_perms(3)]
     assert sum(s3) == 42282
     assert max(s3) == 3**9  # the identity: J_w = 0, every array is standard
+
+
+def test_standard_arrays_check_their_input_at_the_call(monkeypatch):
+    # the iterator is lazy, but a bad w or a grid past the cap fails at once
+    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+    with pytest.raises(ValueError, match="not a permutation"):
+        bruhatlab.standard_arrays((1, 1, 2), 1)
+    with pytest.raises(SizeGuardError):
+        bruhatlab.standard_arrays(perm.identity(5), 1)
 
 
 # -- the gene-only kernel against the dissection ------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import schubert
 from schubert import cli, grobner, hilbert
 from schubert.limits import InvariantError
 
@@ -209,8 +214,17 @@ def test_check_all_deterministic(capsys):
     lines = [l for l in out1.splitlines() if l]
     assert all(l.startswith("PASS") for l in lines)
     assert any("bjs-identity" in l for l in lines)
-    _, out2, _ = run(capsys, "check-all", "--n", "3")
-    assert out1 == out2
+    # again in a fresh process, with its own hash seed and with asserts
+    # stripped: no check may depend on either
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+    src = str(Path(schubert.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    fresh = subprocess.run(
+        [sys.executable, "-O", "-m", "schubert.cli", "check-all", "--n", "3"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert fresh.stdout == out1
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])

@@ -34,18 +34,22 @@ def test_schubert_generators_13865742():
 
 
 def test_schubert_generators_match_every_position_s1_to_s6():
-    # maximal rank positions give the minors of every position
+    # maximal rank positions give the minors of every position at an
+    # essential rank level, a subset of the minors of every position
     for n in range(1, 7):
         for w in perm.all_perms(n):
-            for pruned in (True, False):
-                assert ideal.schubert_generators(w, pruned) == ref_schubert_generators(w, pruned)
+            gens = ideal.schubert_generators(w)
+            assert gens == ref_schubert_generators(w)
+            assert gens <= ref_schubert_generators(w, pruned=False)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(st.sampled_from([7, 8]).flatmap(lambda n: st.permutations(range(1, n + 1))), st.booleans())
-def test_schubert_generators_match_every_position_s7_s8(w, pruned):
+@given(st.sampled_from([7, 8]).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_schubert_generators_match_every_position_s7_s8(w):
     w = tuple(w)
-    assert ideal.schubert_generators(w, pruned) == ref_schubert_generators(w, pruned)
+    gens = ideal.schubert_generators(w)
+    assert gens == ref_schubert_generators(w)
+    assert gens <= ref_schubert_generators(w, pruned=False)
 
 
 def test_minor_antidiagonal():
@@ -84,7 +88,7 @@ def test_pruned_and_unpruned_generators_give_same_ideal():
                 m.antidiagonal() for m in ideal.schubert_generators(w)
             )
             full = ideal.minimalize(
-                m.antidiagonal() for m in ideal.schubert_generators(w, pruned=False)
+                m.antidiagonal() for m in ref_schubert_generators(w, pruned=False)
             )
             assert pruned == full
 

