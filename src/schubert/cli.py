@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--slow", action="store_true",
         help="include the slow sweeps: Theorem B on all of S6 and the 165-minor "
-        "instance, and Theorem A on all of S6 (about 9 s on a 2-core host)",
+        "instance, and Theorem A on all of S6 (about 12 s on a 2-core host)",
     )
     add_json(p)
     p.set_defaults(func=cmd_check_all)

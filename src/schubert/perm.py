@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Iterator, Sequence
+from functools import cache
+from typing import Callable, Iterator, Sequence
 
 Perm = tuple[int, ...]
 
@@ -94,6 +95,26 @@ def descend(w: Perm, i: int) -> Perm:
     return ws
 
 
+def weak_order_family(top: Callable, step: Callable) -> Callable:
+    """A cached function of w, built by induction down the weak order.
+
+    The value at w0 of S_n is ``top(n)``; any other w steps up the weak order
+    at its first ascent i, and its value is ``step(i, value(w * s_i))``.
+    ``functools.cache`` keeps one entry per w reached, the atomic
+    get-or-compute map a shared cache needs; an exception in ``step`` is not
+    cached.
+    """
+
+    @cache
+    def value(w: Perm):
+        i = next((i for i in range(1, len(w)) if w[i - 1] < w[i]), None)
+        if i is None:
+            return top(len(w))
+        return step(i, value(apply_right_transposition(w, i)))
+
+    return value
+
+
 def descents(w: Perm) -> tuple[int, ...]:
     return tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
@@ -116,27 +137,6 @@ def rank_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
         row = tuple(r + (p >= wq) for p, r in enumerate(row, start=1))
         rows.append(row)
     return tuple(rows)
-
-
-def reduced_word_to_w0(w: Perm) -> tuple[int, ...]:
-    """Indices i_1..i_k with w0*w = s_{i_1}...s_{i_k} and k = length(w0*w).
-
-    Deterministic: letters are peeled off the right end of w0*w, always
-    taking the smallest right descent.  Multiplying w0 on the right by
-    s_{i_1}, then s_{i_2}, ... walks the weak order down from w0 to w,
-    dropping length by one at each step.
-    """
-    n = len(w)
-    u = list(multiply(long_element(n), validate(w)))
-    tail = []
-    while True:
-        i = next((i for i in range(1, n) if u[i - 1] > u[i]), None)
-        if i is None:
-            break
-        tail.append(i)
-        u[i - 1], u[i] = u[i], u[i - 1]
-    tail.reverse()
-    return tuple(tail)
 
 
 def permutation_from_word(n: int, word: Sequence[int]) -> Perm:

@@ -161,19 +161,25 @@ def top_pipe_dream(w: Perm) -> PipeDream:
     return d
 
 
+def _mitosis_union(i: int, dreams: frozenset) -> frozenset:
+    """RP(w) from RP(w s_i) for an ascent i of w: the union of the offspring."""
+    offspring = [mitosis(i, d) for d in dreams]
+    union = frozenset().union(*offspring)
+    # Theorem: the union is disjoint; each dream arises exactly once.
+    if len(union) != sum(len(s) for s in offspring):
+        raise InvariantError(f"mitosis offspring overlap at row {i}")
+    return union
+
+
+_rp = perm.weak_order_family(lambda n: frozenset([d0(n)]), _mitosis_union)
+
+
 def rp_mitosis(w: Perm) -> frozenset:
-    """RP(w) generated by mitosis along a reduced word for w0*w, from {D0}."""
+    """RP(w) by mitosis down the weak order from RP(w0) = {D0}, memoised per
+    w like the polynomial families."""
     w = perm.validate(w)
     size_guard(len(w), 8, "rp_mitosis")
-    dreams = frozenset([d0(len(w))])
-    for i in perm.reduced_word_to_w0(w):
-        offspring = [mitosis(i, d) for d in dreams]
-        union = frozenset().union(*offspring) if offspring else frozenset()
-        # Theorem: the union is disjoint; each dream arises exactly once.
-        if len(union) != sum(len(s) for s in offspring):
-            raise InvariantError(f"mitosis offspring overlap at row {i} for {w}")
-        dreams = union
-    return dreams
+    return _rp(w)
 
 
 def rp_bruteforce(w: Perm) -> frozenset:

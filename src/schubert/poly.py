@@ -30,14 +30,15 @@ with u = x_i, v = x_{i+1}, so no polynomial division ever happens.
 and the pipe-dream weights, one factor at a time.
 
 The family functions (schubert, grothendieck, and their double versions) are
-memoized per permutation; ``functools.cache`` provides the atomic
-get-or-compute map the shared cache needs.
+memoized per permutation by ``perm.weak_order_family``: each starts at its
+top for w0 and steps down the weak order by d_i or the Demazure operator,
+the same induction that builds RP(w) by mitosis in ``pipedream``.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cache, reduce
+from functools import reduce
 from itertools import zip_longest
 from math import isqrt
 from operator import or_
@@ -467,24 +468,10 @@ def double_grothendieck_top(n: int) -> LaurentPoly:
     )
 
 
-def _family(top, step):
-    """Build a cached family following the weak-order recursion down from w0."""
-
-    @cache
-    def value(w: Perm) -> LaurentPoly:
-        # step up the weak order at the first ascent of w
-        i = next((i for i in range(1, len(w)) if w[i - 1] < w[i]), None)
-        if i is None:
-            return top(len(w))
-        return step(i, value(perm.apply_right_transposition(w, i)))
-
-    return value
-
-
-_schubert = _family(schubert_top, divided_difference)
-_double_schubert = _family(double_schubert_top, divided_difference)
-_grothendieck = _family(grothendieck_top, demazure)
-_double_grothendieck = _family(double_grothendieck_top, demazure)
+_schubert = perm.weak_order_family(schubert_top, divided_difference)
+_double_schubert = perm.weak_order_family(double_schubert_top, divided_difference)
+_grothendieck = perm.weak_order_family(grothendieck_top, demazure)
+_double_grothendieck = perm.weak_order_family(double_grothendieck_top, demazure)
 
 
 def schubert(w: Sequence[int]) -> LaurentPoly:

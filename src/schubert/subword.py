@@ -183,26 +183,27 @@ def vertex_decompose(delta: SubwordComplex) -> object:
     if delta.is_void():
         raise ValueError("cannot decompose the void complex")
     cox = delta.cox
-    tree = _decompose(delta.word, delta.pi, tuple(range(len(delta.word))), cox)
+    labels = tuple(range(len(delta.word)))
+    tree = _decompose(delta.word, delta.pi, cox.length(delta.pi), labels, cox)
     if replay(tree) != delta.facets:
         raise InvariantError("decomposition tree does not replay to the facets")
     return tree
 
 
-def _decompose(word: tuple, pi, labels: tuple, cox: CoxeterSystem):
+def _decompose(word: tuple, pi, pi_length: int, labels: tuple, cox: CoxeterSystem):
     if not contains(word, pi, cox):
         return VOID_LEAF
     if not word:
         return EMPTY_LEAF
-    if cox.length(pi) == len(word):
+    if pi_length == len(word):
         # the whole word is forced: single facet = empty set
         return EMPTY_LEAF
     sigma = word[0]
     rest, rest_labels = word[1:], labels[1:]
-    link_tree = _decompose(rest, pi, rest_labels, cox)
+    link_tree = _decompose(rest, pi, pi_length, rest_labels, cox)
     spi = cox.left_mul(sigma, pi)
-    if cox.length(spi) < cox.length(pi):
-        del_tree = _decompose(rest, spi, rest_labels, cox)
+    if cox.length(spi) < pi_length:
+        del_tree = _decompose(rest, spi, pi_length - 1, rest_labels, cox)
         return DecompositionNode(labels[0], False, link_tree, del_tree)
     return DecompositionNode(labels[0], True, link_tree, None)
 

@@ -134,6 +134,12 @@ def test_prime_decomposition_s4():
         assert ideal.prime_decomposition_check(w)
 
 
+def test_facet_complements_are_rp_by_mitosis_s6():
+    # Theorem B's prime decomposition on all of S6, against RP(w) by mitosis
+    for w in perm.all_perms(6):
+        assert ideal.facet_complement_dreams(w) == pipedream.rp_mitosis(w), w
+
+
 def test_purity_s4():
     for w in perm.all_perms(4):
         facets = ideal.stanley_reisner_facets(ideal.antidiagonal_ideal(w))

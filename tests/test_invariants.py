@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import schubert
-from schubert import cli, subword
+from schubert import cli, pipedream, subword
 from schubert.limits import InvariantError
 
 SRC = Path(schubert.__file__).parent
@@ -37,3 +37,23 @@ def test_broken_replay_raises_invariant_error(monkeypatch, capsys):
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_overlapping_mitosis_offspring_raise_invariant_error(monkeypatch, capsys):
+    # RP(2143) comes from the two dreams of RP(2413), 2413 = 2143 * s_2 with
+    # 2 the first ascent of 2143; a mitosis that gives each of them all of
+    # RP(2143) has the right union, but not a disjoint one
+    w, rp = (2, 1, 4, 3), pipedream.rp_bruteforce((2, 1, 4, 3))
+    pipedream._rp.cache_clear()
+    assert len(pipedream.rp_mitosis((2, 4, 1, 3))) == 2
+    monkeypatch.setattr(pipedream, "mitosis", lambda i, d: rp)
+    with pytest.raises(InvariantError, match="overlap at row 2"):
+        pipedream.rp_mitosis(w)
+    code = cli.main(["rp", "2143"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    # the failure is not memoised
+    monkeypatch.undo()
+    assert pipedream.rp_mitosis(w) == rp

@@ -222,7 +222,8 @@ def test_double_grothendieck_lowest_degree_s3():
 
 def test_family_cache_matches_recomputation():
     w = (3, 1, 4, 2)
-    word = perm.reduced_word_to_w0(w)
+    # a reduced word for w0*w: w = w0 s_{i_1} ... s_{i_k}
+    word = pipedream.word_of(pipedream.top_pipe_dream(perm.multiply(perm.long_element(4), w)))
     f = poly.schubert_top(4)
     for i in word:
         f = poly.divided_difference(i, f)

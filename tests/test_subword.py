@@ -24,10 +24,9 @@ def fs(*items):
 
 def test_demazure_product_of_reduced_word():
     for w in perm.all_perms(4):
-        word = perm.reduced_word_to_w0(w)
-        assert demazure_product(word, COX4) == perm.multiply(
-            perm.long_element(4), w
-        )
+        w0w = perm.multiply(perm.long_element(4), w)
+        word = pipedream.word_of(pipedream.top_pipe_dream(w0w))
+        assert demazure_product(word, COX4) == w0w
 
 
 def test_demazure_product_idempotent_letter():
@@ -77,7 +76,7 @@ def test_void_versus_empty():
 def test_purity():
     cox = symmetric_group(4)
     for w in perm.all_perms(4):
-        word = perm.reduced_word_to_w0(perm.identity(4)) + (1, 2, 1)
+        word = pipedream.word_of(pipedream.d0(4)) + (1, 2, 1)
         delta = subword_complex(word, w, cox)
         size = len(word) - perm.length(w)
         for f in delta.facets:

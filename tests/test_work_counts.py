@@ -53,6 +53,22 @@ def test_subword_complex_length_calls():
     assert len(calls) == 1
 
 
+def test_vertex_decomposition_length_calls():
+    # the 24 square-word complexes of checks.subword_checks(4): one length
+    # for pi at the root, then one for s*pi per node, as the link keeps
+    # length(pi) and the deletion lowers it by one (measuring length(pi)
+    # again at every node made 1,761)
+    n = 4
+    word = subword.square_word(n)
+    cox = subword.symmetric_group(2 * n)
+    calls = []
+    counting = dataclasses.replace(cox, length=lambda u: calls.append(u) or perm.length(u))
+    for w in perm.all_perms(n):
+        delta = subword.subword_complex(word, perm.embed(w, 2 * n), cox)
+        subword.vertex_decompose(dataclasses.replace(delta, cox=counting))
+    assert len(calls) == 611
+
+
 def count_arrays_built(monkeypatch) -> list:
     """A list that gets one entry per ExponentArray built from now on."""
     built = []
@@ -112,29 +128,52 @@ def test_family_and_bjs_products(monkeypatch):
 def test_families_step_at_the_first_ascent(monkeypatch):
     # the four families over S5 from cold caches, from the top of the weak
     # order down: one divided-difference or Demazure step per w below w0 in
-    # each family, and no reduced word built (building one per cache miss,
-    # only to read its last letter, made 480)
+    # each family (building a reduced word per cache miss made 480)
     for name in ("_schubert", "_double_schubert", "_grothendieck", "_double_grothendieck"):
         getattr(poly, name).cache_clear()
-    steps, words = [], []
-    difference, reduced_word = poly._difference, perm.reduced_word_to_w0
+    steps = []
+    difference = poly._difference
 
     def counting_difference(*args):
         steps.append(args[0])
         return difference(*args)
 
-    def counting_word(w):
-        words.append(w)
-        return reduced_word(w)
-
     monkeypatch.setattr(poly, "_difference", counting_difference)
-    monkeypatch.setattr(perm, "reduced_word_to_w0", counting_word)
     families = (poly.schubert, poly.double_schubert, poly.grothendieck, poly.double_grothendieck)
     for w in sorted(perm.all_perms(5), key=perm.length, reverse=True):
         for family in families:
             family(w)
     assert len(steps) == 476 == 4 * 119
-    assert words == []
+
+
+def clear_pipedream_caches() -> None:
+    """Empty every memo of the pipedream module, as perfbench does before a
+    cold pass."""
+    for value in list(vars(pipedream).values()):
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def test_rp_mitosis_calls(monkeypatch):
+    # RP(w) over all of S4, then all of S5, from cold caches: one mitosis
+    # call per dream of RP(w s_i), i the first ascent of w, for each w below
+    # w0 (a fresh walk down from D0 per w made 78 and 805)
+    clear_pipedream_caches()
+    calls = []
+    mitosis = pipedream.mitosis
+    monkeypatch.setattr(pipedream, "mitosis", lambda i, d: calls.append(d) or mitosis(i, d))
+
+    def sweep(n: int) -> int:
+        calls.clear()
+        for w in perm.all_perms(n):
+            pipedream.rp_mitosis(w)
+        return len(calls)
+
+    assert sweep(4) == 28
+    assert sweep(5) == 243
+    assert sweep(5) == 0  # warm
+    clear_pipedream_caches()
+    assert sweep(5) == 243
 
 
 def test_descent_guard_is_constant_time(monkeypatch):
