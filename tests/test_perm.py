@@ -95,17 +95,28 @@ def test_length_changes_by_one():
             assert abs(perm.length(perm.apply_right_transposition(w, i)) - perm.length(w)) == 1
 
 
-def test_weak_order_family_walks_a_reduced_word_down_from_w0():
-    # a family that records its steps builds, at w, the word i_1..i_k with
-    # w = w0 s_{i_1} ... s_{i_k}, a reduced word for w0*w
-    word = perm.weak_order_family(lambda n: (), lambda i, above: above + (i,))
-    assert word(perm.long_element(4)) == ()
-    assert word((2, 1, 4, 3)) == (2, 3, 1, 2)
+# A family that records its steps builds, at w, the word i_1..i_k with
+# w = w0 s_{i_1} ... s_{i_k}: a reduced word for w0*w, read off the same
+# weak-order induction the polynomial families run on.
+reduced_word_to_w0 = perm.weak_order_family(lambda n: (), lambda i, above: above + (i,))
+
+
+def test_reduced_word_to_w0_at_w0():
+    assert reduced_word_to_w0(perm.long_element(4)) == ()
+
+
+def test_reduced_word_for_2143():
+    # the recursion G_2143 = dem2 dem1 dem3 dem2 G_w0 reads the word right to left
+    assert reduced_word_to_w0((2, 1, 4, 3)) == (2, 3, 1, 2)
+
+
+def test_reduced_word_multiplies_to_w0w():
     for n in (3, 4):
         w0 = perm.long_element(n)
         for w in perm.all_perms(n):
-            assert len(word(w)) == perm.length(w0) - perm.length(w)
-            assert perm.permutation_from_word(n, word(w)) == perm.multiply(w0, w)
+            word = reduced_word_to_w0(w)
+            assert len(word) == perm.length(w0) - perm.length(w)
+            assert perm.permutation_from_word(n, word) == perm.multiply(w0, w)
 
 
 def test_multiply_inverse():
