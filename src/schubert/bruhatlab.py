@@ -78,9 +78,6 @@ class ExponentArray:
             rows[i - 1][j - 1] = 1
         return cls.from_rows(rows)
 
-    def get(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
-
     def scale(self, k: int) -> "ExponentArray":
         return ExponentArray(self.n, tuple(tuple(k * e for e in r) for r in self.rows))
 
@@ -323,13 +320,7 @@ def intron_mutation_at(i: int, start: int, b: ExponentArray) -> ExponentArray:
 
 def dream_of(b: ExponentArray) -> pipedream.PipeDream:
     """D(b): the pipe dream of cells outside the support of z^b."""
-    cells = {
-        (i, j)
-        for i in range(1, b.n + 1)
-        for j in range(1, b.n + 1)
-        if not b.get(i, j)
-    }
-    return pipedream.PipeDream(b.n, frozenset(cells))
+    return pipedream.PipeDream(b.n, ideal_mod.grid(b.n) - b.support())
 
 
 def mitosis_facet_bridge(w: Perm, i: int) -> bool:
@@ -346,12 +337,8 @@ def mitosis_facet_bridge(w: Perm, i: int) -> bool:
     all_offspring: list[frozenset] = []
     for facet in facets:
         b = ExponentArray.from_support(n, facet)
-        prom = promoter_size(i, w, b)
-        doubled = b.scale(2)
-        chain = [doubled]
-        for _ in range(2 * prom):
-            chain.append(mutate(i, chain[-1]))
-        via_mutation = frozenset(dream_of(chain[2 * d + 1]) for d in range(prom))
+        chain = lifted_demazure(i, w, b.scale(2))
+        via_mutation = frozenset(map(dream_of, chain[1::2]))
         offspring = pipedream.mitosis(i, dream_of(b))
         if via_mutation != offspring:
             return False

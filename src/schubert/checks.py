@@ -12,6 +12,7 @@ from collections import Counter
 
 from . import bruhatlab, grobner, hilbert, ideal, perm, pipedream, poly, subword
 from .bruhatlab import ExponentArray
+from .limits import SizeGuardError
 from .poly import LaurentPoly, ONE, unit, xvar, yvar
 
 
@@ -117,11 +118,13 @@ def theorem_b_slow() -> tuple[bool, str]:
 
 def prime_decomposition(n: int = 5) -> tuple[bool, str]:
     for w in perm.all_perms(n):
-        if not ideal.prime_decomposition_check(w):
+        # the facets, once per w, as their complements D_L = [n]^2 - L
+        dreams = ideal.facet_complement_dreams(w)
+        if dreams != pipedream.rp_bruteforce(w):
             return False, f"facet complements != RP at {w}"
-        size = n * n - perm.length(w)
-        facets = ideal.stanley_reisner_facets(ideal.antidiagonal_ideal(w))
-        if any(len(f) != size for f in facets):
+        # pure: every facet has n^2 - l(w) cells, so every D_L has l(w) crosses
+        size = perm.length(w)
+        if any(len(d.crosses) != size for d in dreams):
             return False, f"purity fails at {w}"
     ok, detail = pentagon_structure_1432()
     if not ok:
@@ -252,7 +255,7 @@ def tau_involution(n: int = 3, max_entry: int = 2) -> tuple[bool, str]:
 def thm_ev_truncated(n: int = 3, max_degree: int = 4) -> tuple[bool, str]:
     """Lifted Demazure operators map standard monomials of J_w bijectively
     onto standard monomials of J_{w s_i}, degree by degree."""
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    cells = sorted(ideal.grid(n))
 
     def arrays_up_to(limit):
         for total in range(limit + 1):
@@ -409,6 +412,8 @@ def run_all(n: int = 4, slow: bool = False) -> list[tuple[str, bool, str]]:
     def run(name, fn, *args, **kwargs):
         try:
             ok, detail = fn(*args, **kwargs)
+        except SizeGuardError:  # bad input: the CLI exits 2
+            raise
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         results.append((name, ok, detail))

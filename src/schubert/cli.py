@@ -2,10 +2,10 @@
 
 Exit status: 0 on success; 2 on usage errors (unknown verb, malformed
 permutation, pipe dream or word, an out-of-range option, a tripped size
-guard), which the verbs check at this boundary; 1 on verification failure
-and on any other error (a broken library invariant, a Groebner reduction
-past its coefficient bound, a library defect), each reported as one
-``error:`` line.
+guard or a malformed SCHUBERT_MAX_N), which the verbs check at this
+boundary; 1 on verification failure and on any other error (a broken
+library invariant, a Groebner reduction past its coefficient bound, a
+library defect), each reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -252,11 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gb-verify", help="verify the Groebner-basis statement")
     p.add_argument("permutation", nargs="?")
-    p.add_argument(
-        "--order",
-        choices=["antidiag-revlex", "antidiag-lex", "diag"],
-        default="antidiag-revlex",
-    )
+    p.add_argument("--order", choices=list(grobner.TERM_ORDERS), default="antidiag-revlex")
     p.add_argument("--all-s4", action="store_true")
     add_json(p)
     p.set_defaults(func=cmd_gb_verify)
@@ -283,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--slow", action="store_true",
         help="include the slow sweeps: Theorem B on all of S6 and the 165-minor "
-        "instance, and Theorem A on all of S6 (about 12 s on a 2-core host)",
+        "instance, and Theorem A on all of S6",
     )
     add_json(p)
     p.set_defaults(func=cmd_check_all)

@@ -63,9 +63,12 @@ _FIELD = 16
 _EXP_LIMIT = 1 << (_FIELD - 1)
 _FIELD_MASK = (1 << _FIELD) - 1
 
+# Top reduction raises CoefficientBlowup once a coefficient passes this bound.
+MAX_COEFF = 10**9
+
 
 class CoefficientBlowup(ArithmeticError):
-    """Raised when reduction coefficients pass the configured bound."""
+    """Raised when reduction coefficients pass MAX_COEFF."""
 
 
 @dataclass(frozen=True)
@@ -173,10 +176,10 @@ def _divide_content(f: dict, lead_coeff: int) -> dict:
     return {m: c // g for m, c in f.items()}
 
 
-def strip_content(f: Poly, order: TermOrder | None = None) -> Poly:
+def strip_content(f: Poly, order: TermOrder) -> Poly:
     if not f:
         return f
-    return _divide_content(f, initial_term(f, order)[1] if order is not None else 1)
+    return _divide_content(f, initial_term(f, order)[1])
 
 
 class _Packed(dict):
@@ -308,7 +311,7 @@ class _Basis:
             taken ^= low
         return False
 
-    def reduce(self, f: dict, max_coeff: int) -> _Packed:
+    def reduce(self, f: dict) -> _Packed:
         """Top reduction of a packed polynomial, step for step as on dicts:
         the first element whose leading monomial divides, lcm scaling, then
         content removal with a positive leading coefficient."""
@@ -332,8 +335,8 @@ class _Basis:
             self._add_multiple(h, hit, hk - gk, he - ge, -factor)
             if h:
                 h = _divide_content(h, h[max(h)])
-                if max(map(abs, h.values())) > max_coeff:
-                    raise CoefficientBlowup(f"coefficient bound {max_coeff} exceeded")
+                if max(map(abs, h.values())) > MAX_COEFF:
+                    raise CoefficientBlowup(f"coefficient bound {MAX_COEFF} exceeded")
         return _Packed(h)
 
 
@@ -348,20 +351,18 @@ def s_polynomial(f: Poly, g: Poly, order: TermOrder) -> Poly:
     return basis.unpack(basis.s_polynomial(0, 1, basis.lcm(0, 1)))
 
 
-def top_reduce(
-    f: Poly, basis: Sequence[Poly], order: TermOrder, max_coeff: int = 10**9
-) -> Poly:
+def top_reduce(f: Poly, basis: Sequence[Poly], order: TermOrder) -> Poly:
     """Remainder whose leading term no basis leading term divides.
 
     The pair loop passes its prepared basis with a packed S-polynomial and
     gets the remainder back packed."""
     basis = _prepare(basis, order)
     if isinstance(f, _Packed):
-        return basis.reduce(f, max_coeff)
-    return basis.unpack(basis.reduce({basis.pack(m): c for m, c in f.items()}, max_coeff))
+        return basis.reduce(f)
+    return basis.unpack(basis.reduce({basis.pack(m): c for m, c in f.items()}))
 
 
-def _remainders(basis: _Basis, max_coeff: int = 10**9):
+def _remainders(basis: _Basis):
     """The pair loop of is_groebner_basis and buchberger: yields the
     remainder of each S-pair that neither criterion skips, also for elements
     appended meanwhile.  The chain test skips elements sharing no variable
@@ -393,7 +394,7 @@ def _remainders(basis: _Basis, max_coeff: int = 10**9):
         taken = (done[a] | ~shared[a]) & (done[b] | ~shared[b]) & (shared[a] | shared[b])
         if basis.chain(lcm, taken):
             continue
-        yield top_reduce(basis.s_polynomial(a, b, lcm), basis, basis.order, max_coeff)
+        yield top_reduce(basis.s_polynomial(a, b, lcm), basis, basis.order)
 
 
 def is_groebner_basis(gens: Sequence[Poly], order: TermOrder) -> bool:
@@ -401,12 +402,10 @@ def is_groebner_basis(gens: Sequence[Poly], order: TermOrder) -> bool:
     return not any(_remainders(_prepare(gens, order)))
 
 
-def buchberger(
-    gens: Iterable[Poly], order: TermOrder, max_coeff: int = 10**9
-) -> list[Poly]:
+def buchberger(gens: Iterable[Poly], order: TermOrder) -> list[Poly]:
     """Complete a generating set to a Groebner basis (normal pair selection)."""
     basis = _Basis([strip_content(dict(g), order) for g in gens if g], order)
-    for rem in _remainders(basis, max_coeff):
+    for rem in _remainders(basis):
         if rem:
             basis.append(strip_content(basis.unpack(rem), order))
     return list(basis)

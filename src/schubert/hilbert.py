@@ -123,11 +123,11 @@ def multidegree_additive(
     facets: Iterable[frozenset], n: int, grading: str = "zn"
 ) -> LaurentPoly:
     """Sum over facets of the product of ordinary weights of complement cells."""
-    vertices = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+    vertices = ideal_mod.grid(n)
     terms: dict = {}
     for f in facets:
         shift, pairs = 0, []
-        for cell in vertices - set(f):
+        for cell in vertices.difference(f):
             v, *rest = exp_weight(grading, cell)
             if rest:
                 pairs.append((unit(v), unit(rest[0])))

@@ -51,6 +51,11 @@ class SquarefreeMonomialIdeal:
     generators: frozenset  # of frozensets of cells, inclusion-minimal
 
 
+def grid(n: int) -> frozenset:
+    """The n^2 cells of the n x n grid."""
+    return frozenset(itertools.product(range(1, n + 1), repeat=2))
+
+
 def rothe_diagram(w: Perm) -> set[Cell]:
     """Cells (i, j) with j < w(i) and i < w^-1(j)."""
     w = perm.validate(w)
@@ -169,9 +174,7 @@ def stanley_reisner_facets(ideal: SquarefreeMonomialIdeal) -> frozenset:
     covers of the generator hypergraph.
     """
     size_guard(ideal.n, 6, "stanley_reisner_facets")
-    vertices = frozenset(
-        (i, j) for i in range(1, ideal.n + 1) for j in range(1, ideal.n + 1)
-    )
+    vertices = grid(ideal.n)
     if not ideal.generators:
         return frozenset([vertices])
     covers = minimal_covers(ideal.generators)
@@ -182,14 +185,8 @@ def facet_complement_dreams(w: Perm) -> frozenset:
     """{D_L : L facet of the complex of J_w} as pipe dreams."""
     w = perm.validate(w)
     n = len(w)
-    ideal = antidiagonal_ideal(w)
-    vertices = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+    vertices = grid(n)
     return frozenset(
-        pipedream.PipeDream(n, vertices - f) for f in stanley_reisner_facets(ideal)
+        pipedream.PipeDream(n, vertices - f)
+        for f in stanley_reisner_facets(antidiagonal_ideal(w))
     )
-
-
-def prime_decomposition_check(w: Perm) -> bool:
-    """Facet complements of the complex of J_w equal RP(w) (brute-force)."""
-    w = perm.validate(w)
-    return facet_complement_dreams(w) == pipedream.rp_bruteforce(w)

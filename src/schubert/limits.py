@@ -13,7 +13,8 @@ ENV_VAR = "SCHUBERT_MAX_N"
 
 
 class SizeGuardError(ValueError):
-    """Raised when an input exceeds an operation's size cap."""
+    """Raised when an input exceeds an operation's size cap, or when
+    SCHUBERT_MAX_N is set to something other than an integer."""
 
 
 class InvariantError(Exception):
@@ -28,7 +29,10 @@ def size_guard(n: int, default_cap: int, operation: str) -> None:
     cap = default_cap
     env = os.environ.get(ENV_VAR)
     if env is not None:
-        cap = int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            raise SizeGuardError(f"{ENV_VAR}={env!r} is not an integer") from None
     if n > cap:
         raise SizeGuardError(
             f"{operation}: n={n} exceeds cap {cap} (set {ENV_VAR} to override)"

@@ -38,10 +38,8 @@ the same induction that builds RP(w) by mitosis in ``pipedream``.
 from __future__ import annotations
 
 import json
-from functools import reduce
 from itertools import zip_longest
 from math import isqrt
-from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from . import perm
@@ -299,12 +297,7 @@ class LaurentPoly:
     # -- queries -----------------------------------------------------------
 
     def variables(self) -> set[Var]:
-        # lifted by 2^15 every digit is a field of its own, which differs
-        # from the lift's exactly where the exponent is nonzero
-        k = _span(self.terms)
-        lift = _ones(k) << (_BITS - 1)
-        support = reduce(or_, map(lift.__xor__, map(lift.__add__, self.terms)), 0)
-        return {_var_at(p) for p in range(1, k) if (support >> (_BITS * p)) & _MASK}
+        return {v for m in self.terms for v, _ in exponents(m)}
 
     def min_total_degree(self) -> int:
         if not self.terms:

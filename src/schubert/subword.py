@@ -178,14 +178,16 @@ def vertex_decompose(delta: SubwordComplex) -> object:
     """Decomposition tree along the first letter, per the subword recursion:
     link drops the letter, deletion shortens pi when the letter is a descent.
 
-    Replaying the tree must reproduce the facet set; InvariantError if not.
+    The shelling read off the tree must list each facet exactly once;
+    InvariantError if not.
     """
     if delta.is_void():
         raise ValueError("cannot decompose the void complex")
     cox = delta.cox
     labels = tuple(range(len(delta.word)))
     tree = _decompose(delta.word, delta.pi, cox.length(delta.pi), labels, cox)
-    if replay(tree) != delta.facets:
+    order = shelling_from_decomposition(tree)
+    if len(order) != len(delta.facets) or set(order) != delta.facets:
         raise InvariantError("decomposition tree does not replay to the facets")
     return tree
 
@@ -206,18 +208,6 @@ def _decompose(word: tuple, pi, pi_length: int, labels: tuple, cox: CoxeterSyste
         del_tree = _decompose(rest, spi, pi_length - 1, rest_labels, cox)
         return DecompositionNode(labels[0], False, link_tree, del_tree)
     return DecompositionNode(labels[0], True, link_tree, None)
-
-
-def replay(tree) -> frozenset:
-    """Facet set encoded by a decomposition tree."""
-    if tree == VOID_LEAF:
-        return frozenset()
-    if tree == EMPTY_LEAF:
-        return frozenset([frozenset()])
-    with_v = frozenset(f | {tree.vertex} for f in replay(tree.link))
-    if tree.cone:
-        return with_v
-    return replay(tree.deletion) | with_v
 
 
 def shelling_from_decomposition(tree) -> list[frozenset]:

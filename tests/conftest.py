@@ -7,7 +7,7 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="run the slow sweeps (Groebner verification of all of S6 and the 165-minor "
-        "instance, Theorem A on all of S6, about 12 s on a 2-core host)",
+        "instance, Theorem A on all of S6)",
     )
 
 

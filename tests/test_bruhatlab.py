@@ -41,7 +41,7 @@ def test_standard_test_examples():
 def test_mutate_moves_single_coin():
     b = ExponentArray.from_support(3, [(2, 2)])
     out = bruhatlab.mutate(1, b)
-    assert out.get(1, 2) == 1 and out.get(2, 2) == 0
+    assert out.rows[0][1] == 1 and out.rows[1][1] == 0
     with pytest.raises(ValueError):
         bruhatlab.mutate(1, out)  # row 2 is now empty
 

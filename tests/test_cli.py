@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 import schubert
 from schubert import cli, grobner, hilbert
 from schubert.limits import InvariantError
+from test_golden_cli import cases as golden_cases
 
 
 def run(capsys, *argv):
@@ -208,12 +210,29 @@ def test_rp_mitosis_past_size_guard_exits_2(capsys, monkeypatch):
     assert err == "error: rp_mitosis: n=9 exceeds cap 8 (set SCHUBERT_MAX_N to override)\n"
 
 
+@pytest.mark.parametrize("value", ["abc", "", "4.5"])
+def test_malformed_max_n_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("SCHUBERT_MAX_N", value)
+    code, out, err = run(capsys, "rp", "2143")
+    assert (code, out) == (2, "")
+    assert err == f"error: SCHUBERT_MAX_N={value!r} is not an integer\n"
+
+
+def test_check_all_past_size_guard_exits_2(capsys, monkeypatch):
+    # bjs-identity-s8 reaches rp_bruteforce, capped at 7, before any sweep
+    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+    code, out, err = run(capsys, "check-all", "--n", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: rp_bruteforce: n=8 exceeds cap 7 (set SCHUBERT_MAX_N to override)\n"
+
+
 def test_check_all_deterministic(capsys):
     code, out1, _ = run(capsys, "check-all", "--n", "3")
     assert code == 0
     lines = [l for l in out1.splitlines() if l]
     assert all(l.startswith("PASS") for l in lines)
     assert any("bjs-identity" in l for l in lines)
+    assert list(golden_cases("check-all")) == [["3", hashlib.sha256(out1.encode()).hexdigest()]]
     # again in a fresh process, with its own hash seed and with asserts
     # stripped: no check may depend on either
     env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}

@@ -1,5 +1,9 @@
-"""The kpoly and multidegree verbs print the same bytes as the zn2-then-coarsen
-code did: all of S4 in the four gradings and all of S5 in zn2 and z2n."""
+"""CLI output pinned byte for byte by sha256 digests: the kpoly and multidegree
+verbs print the same bytes as the zn2-then-coarsen code did (all of S4 in the
+four gradings, all of S5 in zn2 and z2n); rp and ideal --json over S1-S5, the
+two subword decompositions and check-all --n 3 print what they printed before
+the second copies of the grid, the facet complement, the mutation chain and
+the tree walk left the package."""
 
 import contextlib
 import hashlib
@@ -21,15 +25,40 @@ def cases(verb):
                 yield fields[1:]
 
 
+def digest(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("verb", ["kpoly", "multidegree"])
 def test_cli_output_matches_golden_digests(verb):
     checked, differ = 0, []
-    for grading, w, digest in cases(verb):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main([verb, w, "--grading", grading, "--json"]) == 0
-        if hashlib.sha256(out.getvalue().encode()).hexdigest() != digest:
+    for grading, w, expected in cases(verb):
+        if digest([verb, w, "--grading", grading, "--json"]) != expected:
             differ.append((grading, w))
         checked += 1
     assert checked == 24 * 4 + 120 * 2
     assert differ == []
+
+
+@pytest.mark.parametrize("verb", ["rp", "ideal"])
+def test_json_over_s1_to_s5_matches_golden_digests(verb):
+    checked, differ = 0, []
+    for w, expected in cases(verb):
+        if digest([verb, w, "--json"]) != expected:
+            differ.append(w)
+        checked += 1
+    assert checked == 1 + 2 + 6 + 24 + 120
+    assert differ == []
+
+
+def test_subword_decompositions_match_golden_digests():
+    checked = list(cases("subword"))
+    assert [(word, p) for word, p, _ in checked] == [
+        ("3,2,3,2,3", "1432"),
+        ("4,3,2,1,5,4,3,2,6,5,4,3,7,6,5,4", "2143"),
+    ]
+    for word, p, expected in checked:
+        assert digest(["subword", "--word", word, "--perm", p, "--decompose", "--json"]) == expected

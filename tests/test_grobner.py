@@ -379,10 +379,9 @@ def test_exponent_past_packing_limit():
         grobner.top_reduce(big, [{(1, 0, 0, 0): 1}], diag_lex(2))
 
 
-def test_coefficient_guard():
+def test_coefficient_guard(monkeypatch):
     f = {(1, 0, 0, 0): 10**6, (0, 0, 0, 1): 1}
     g = {(1, 0, 0, 0): 7, (0, 1, 0, 0): 10**6}
+    monkeypatch.setattr(grobner, "MAX_COEFF", 10)
     with pytest.raises(grobner.CoefficientBlowup):
-        grobner.top_reduce(
-            {(2, 0, 0, 0): 1, (0, 0, 1, 0): 1}, [f, g], diag_lex(2), max_coeff=10
-        )
+        grobner.top_reduce({(2, 0, 0, 0): 1, (0, 0, 1, 0): 1}, [f, g], diag_lex(2))

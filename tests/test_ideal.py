@@ -131,7 +131,7 @@ def test_stanley_reisner_facets_empty_ideal():
 
 def test_prime_decomposition_s4():
     for w in perm.all_perms(4):
-        assert ideal.prime_decomposition_check(w)
+        assert ideal.facet_complement_dreams(w) == pipedream.rp_bruteforce(w)
 
 
 def test_facet_complements_are_rp_by_mitosis_s6():

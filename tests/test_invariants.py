@@ -26,7 +26,7 @@ def test_invariant_error_is_not_a_usage_error():
 
 
 def test_broken_replay_raises_invariant_error(monkeypatch, capsys):
-    monkeypatch.setattr(subword, "replay", lambda tree: frozenset())
+    monkeypatch.setattr(subword, "shelling_from_decomposition", lambda tree: [])
     delta = subword.subword_complex(
         (3, 2, 3, 2, 3), (1, 4, 3, 2), subword.symmetric_group(4)
     )
@@ -37,6 +37,18 @@ def test_broken_replay_raises_invariant_error(monkeypatch, capsys):
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_repeated_facet_in_the_shelling_raises_invariant_error(monkeypatch):
+    # the repeat has the right facet set, so only the count can see it
+    delta = subword.subword_complex(
+        (3, 2, 3, 2, 3), (1, 4, 3, 2), subword.symmetric_group(4)
+    )
+    order = subword.shelling_from_decomposition(subword.vertex_decompose(delta))
+    assert len(order) == 5
+    monkeypatch.setattr(subword, "shelling_from_decomposition", lambda tree: order + order[:1])
+    with pytest.raises(InvariantError, match="does not replay to the facets"):
+        subword.vertex_decompose(delta)
 
 
 def test_overlapping_mitosis_offspring_raise_invariant_error(monkeypatch, capsys):

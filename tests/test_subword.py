@@ -111,8 +111,8 @@ def test_link_of_cone_vertex_equals_deletion():
 def test_vertex_decompose_pentagon():
     delta = subword_complex((3, 2, 3, 2, 3), (1, 4, 3, 2), COX4)
     tree = subword.vertex_decompose(delta)
-    assert subword.replay(tree) == delta.facets
     order = subword.shelling_from_decomposition(tree)
+    assert set(order) == delta.facets
     assert subword.is_shelling(order, delta.facets)
 
 
@@ -140,7 +140,7 @@ def test_square_word_and_rp_bijection_2143():
     )
     assert dreams == pipedream.rp_mitosis((2, 1, 4, 3))
     tree = subword.vertex_decompose(delta)
-    leaves = subword.replay(tree)
+    leaves = set(subword.shelling_from_decomposition(tree))
     assert len(leaves) == 3
 
 
