@@ -120,12 +120,13 @@ def prime_decomposition(n: int = 5) -> tuple[bool, str]:
     for w in perm.all_perms(n):
         # the facets, once per w, as their complements D_L = [n]^2 - L
         dreams = ideal.facet_complement_dreams(w)
-        if dreams != pipedream.rp_bruteforce(w):
-            return False, f"facet complements != RP at {w}"
-        # pure: every facet has n^2 - l(w) cells, so every D_L has l(w) crosses
+        # pure: every facet has n^2 - l(w) cells, so every D_L has l(w) crosses;
+        # tested first, as RP(w) holds only dreams of l(w) crosses
         size = perm.length(w)
         if any(len(d.crosses) != size for d in dreams):
             return False, f"purity fails at {w}"
+        if dreams != pipedream.rp_bruteforce(w):
+            return False, f"facet complements != RP at {w}"
     ok, detail = pentagon_structure_1432()
     if not ok:
         return False, detail

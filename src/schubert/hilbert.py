@@ -20,7 +20,11 @@ codim, multiplies C by its ordinary weight and K by its Koszul factor
 
 where I + <v> is the generators avoiding v, a node (c, C, K) of its own,
 with v factored out as (c + 1, ord(v) * C, (1 - wt(v)) * K), and I : v
-deletes v from each generator.  Both sides stay squarefree.
+deletes v from each generator.  Both sides stay squarefree.  Each step is
+one pass of a ``poly`` kernel over packed terms, ``_times_binomial`` for
+ord(v) and 1 - wt(v) and ``_koszul`` for the K update, with the packed
+weights of each (grading, cell) read once off ``exp_weight``, so the
+recursion forms no general polynomial product.
 
 Both rules are exact in every grading, with no cancellation and no
 coarsening step.  K is additive along the exact sequence of the pivot.  A
@@ -34,6 +38,7 @@ by definition, is never expanded.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable
 
 from . import ideal as ideal_mod
@@ -41,7 +46,7 @@ from . import perm, poly
 from .ideal import SquarefreeMonomialIdeal
 from .limits import InvariantError, size_guard
 from .perm import Perm
-from .poly import ONE, LaurentPoly, TVAR, unit, xvar, yvar, zvar
+from .poly import ONE, LaurentPoly, Monomial, TVAR, unit, xvar, yvar, zvar
 
 Cell = tuple[int, int]
 GRADINGS = ("zn2", "z2n", "zn", "z")  # finest to coarsest
@@ -59,6 +64,15 @@ def exp_weight(grading: str, cell: Cell) -> dict:
     if grading == "z":
         return {TVAR: 1}
     raise ValueError(f"unknown grading {grading!r}")
+
+
+@cache
+def _packed_weight(grading: str, cell: Cell) -> tuple[Monomial, Monomial, Monomial | None]:
+    """(wt, a, b): the exponential weight of z_cell packed, and its ordinary
+    weight a - b as packed variables (b is None when it is one variable)."""
+    exps = exp_weight(grading, cell)
+    v, *rest = exps
+    return sum(e * unit(u) for u, e in exps.items()), unit(v), unit(rest[0]) if rest else None
 
 
 _K_CACHE: dict = {}
@@ -87,16 +101,14 @@ def _k_of_gens(gens: frozenset, grading: str) -> tuple[int, LaurentPoly, Laurent
         p_codim, p_c, p_k = _k_of_gens(rest, grading) if rest else (0, ONE, ONE)
         q_codim, q_c, q_k = _k_of_gens(ideal_mod.minimalize(g - {v} for g in multi), grading)
         codim = min(p_codim + 1, q_codim)
-        exps = exp_weight(grading, v)
-        wt = LaurentPoly.monomial(exps)
-        c = LaurentPoly.linear(exps) * p_c if p_codim + 1 == codim else poly.ZERO
+        wt, a, b = _packed_weight(grading, v)
+        c = poly._times_binomial(p_c, a, b) if p_codim + 1 == codim else poly.ZERO
         if q_codim == codim:
             c = c + q_c
-        k = (ONE - wt) * p_k + wt * q_k
+        k = poly._koszul(p_k, q_k, wt)
     for cell in singles:
-        exps = exp_weight(grading, cell)
-        codim, c = codim + 1, c * LaurentPoly.linear(exps)
-        k = k * (ONE - LaurentPoly.monomial(exps))
+        wt, a, b = _packed_weight(grading, cell)
+        codim, c, k = codim + 1, poly._times_binomial(c, a, b), poly._times_binomial(k, 0, wt)
     result = (codim, c, k)
     _K_CACHE[key] = result
     return result
@@ -128,11 +140,11 @@ def multidegree_additive(
     for f in facets:
         shift, pairs = 0, []
         for cell in vertices.difference(f):
-            v, *rest = exp_weight(grading, cell)
-            if rest:
-                pairs.append((unit(v), unit(rest[0])))
+            _, a, b = _packed_weight(grading, cell)
+            if b is None:
+                shift += a
             else:
-                shift += unit(v)
+                pairs.append((a, b))
         for m, c in poly.binomial_product(pairs).terms.items():
             terms[m + shift] = terms.get(m + shift, 0) + c
     return LaurentPoly(terms)

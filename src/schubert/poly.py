@@ -26,8 +26,13 @@ operator on the x block, sign * d_i(x_{i+1}^lift f), with (lift, sign) =
     (u^a v^b - u^b v^a) / (u - v) = sum_{k=min}^{max-1} u^k v^{a+b-1-k}
 
 with u = x_i, v = x_{i+1}, so no polynomial division ever happens.
-``binomial_product`` expands a product of binomials a - b, the family tops
-and the pipe-dream weights, one factor at a time.
+``_times_binomial`` multiplies by one binomial a - b (or shifts by a) and
+``_koszul`` forms (1 - x^wt) p + x^wt q, each in one pass, for monomials
+whose digits lie in -1..1; they are the steps of the pivot recursion in
+``hilbert``, and ``binomial_product`` (the family tops and the pipe-dream
+weights) is a fold of the first.  ``subs_monomial`` reads all the mapped
+digits of a term with one mask and computes the change once per distinct
+value of them.
 
 The family functions (schubert, grothendieck, and their double versions) are
 memoized per permutation by ``perm.weak_order_family``: each starts at its
@@ -311,26 +316,43 @@ class LaurentPoly:
 
         Safe for negative exponents because monomials are invertible.
         """
-        table = [(*_reader(v), _pack(image) - unit(v)) for v, image in mapping.items()]
-        # exact while the input and every change stay well inside a digit
-        scale = max((abs(d) for *_, delta in table for d in _digits(delta)), default=0)
-        safe = (_HALF - 1 - _reach(self)) // max(scale, 1)
+        table = [(_BITS * _index(v), _pack(image) - unit(v)) for v, image in mapping.items()]
+        # one unit of a mapped exponent moves each digit by at most scale, so
+        # a term whose mapped exponents sum to at most safe in absolute value
+        # stays well inside a digit
+        scale = max((sum(map(abs, image.values())) + 1 for image in mapping.values()), default=1)
+        safe = (_HALF - 1 - _reach(self)) // scale
+        # (m + lift) & mask is the mapped digits of m, each offset by _HALF:
+        # the lift makes every digit up to the highest mapped one nonnegative
+        lift = _ones(max((shift for shift, _ in table), default=0) // _BITS + 1) << (_BITS - 1)
+        mask = sum(_MASK << shift for shift, _ in table)
+        changes: dict[int, Monomial] = {}  # mapped digits -> the change of the monomial
         out: dict[Monomial, int] = {}
+        get = out.get
         for m, c in self.terms.items():
-            key, moved = m, 0
-            for lift, shift, delta in table:
-                e = (((m + lift) >> shift) & _MASK) - _HALF
-                if e:
-                    key += e * delta
-                    moved += abs(e)
-            if moved > safe:
-                exps = dict(exponents(m))
-                subs = {v: exps.pop(v) for v in mapping if v in exps}
-                for v, e in subs.items():
-                    for v2, e2 in mapping[v].items():
-                        exps[v2] = exps.get(v2, 0) + e2 * e
-                key = _pack(exps)
-            out[key] = out.get(key, 0) + c
+            part = (m + lift) & mask
+            change = changes.get(part)
+            if change is None:
+                change = moved = 0
+                for shift, delta in table:
+                    e = ((part >> shift) & _MASK) - _HALF
+                    if e:
+                        change += e * delta
+                        moved += abs(e)
+                if moved > safe:
+                    # exact, and not kept: a term with the same mapped digits
+                    # but other digits nearer the limit may overflow
+                    exps = dict(exponents(m))
+                    subs = {v: exps.pop(v) for v in mapping if v in exps}
+                    for v, e in subs.items():
+                        for v2, e2 in mapping[v].items():
+                            exps[v2] = exps.get(v2, 0) + e2 * e
+                    key = _pack(exps)
+                    out[key] = get(key, 0) + c
+                    continue
+                changes[part] = change
+            key = m + change
+            out[key] = get(key, 0) + c
         return LaurentPoly(out)
 
     def subs_poly(self, mapping: Mapping[Var, "LaurentPoly"]) -> "LaurentPoly":
@@ -410,6 +432,56 @@ def demazure(i: int, f: LaurentPoly) -> LaurentPoly:
     return _difference(i, f, 1, -1)
 
 
+def _fit(f: LaurentPoly, *monomials: Monomial) -> int:
+    """A bound for f times a sum of monomials whose every exponent and degree
+    lies in -1..1: the reach of f plus one, or OverflowError if a product
+    term has an exponent or a degree of 2^15 or more in absolute value."""
+    reach = _reach(f) + 1
+    if reach < _HALF:
+        return reach
+    return _product_reach(f, _bounded(dict.fromkeys(monomials, 1), 1))
+
+
+def _times_binomial(f: LaurentPoly, a: Monomial, b: Monomial | None = None) -> LaurentPoly:
+    """f * (x^a - x^b), or the shift f * x^a when b is None, in one pass over
+    the terms of f; every exponent and degree of a and b lies in -1..1."""
+    reach = _fit(f, a) if b is None else _fit(f, a, b)
+    out = {m + a: c for m, c in f.terms.items()}  # a shift: no two keys meet
+    if b is not None:
+        get = out.get
+        for m, c in f.terms.items():
+            key = m + b
+            c = get(key, 0) - c
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return _bounded(out, reach)
+
+
+def _koszul(p: LaurentPoly, q: LaurentPoly, wt: Monomial) -> LaurentPoly:
+    """(1 - x^wt) * p + x^wt * q, one copy of p and one pass over each of p
+    and q; every exponent and degree of wt lies in -1..1."""
+    reach = max(_fit(p, 0, wt), _fit(q, wt))
+    out = dict(p.terms)
+    get = out.get
+    for m, c in p.terms.items():
+        key = m + wt
+        c = get(key, 0) - c
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    for m, c in q.terms.items():
+        key = m + wt
+        c = get(key, 0) + c
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return _bounded(out, reach)
+
+
 def binomial_product(pairs: Iterable[tuple[Monomial, Monomial]]) -> LaurentPoly:
     """The product of a - b over pairs (a, b) of packed monomials whose every
     exponent and degree lies in -1..1 (x_i - y_j, 1 - x_i/y_j), expanded one
@@ -421,14 +493,10 @@ def binomial_product(pairs: Iterable[tuple[Monomial, Monomial]]) -> LaurentPoly:
     high = ones * (_MASK ^ 3)
     if any(high & (ones + m) or high & (ones - m) for pair in pairs for m in pair):
         raise ValueError("binomial_product: an exponent or a degree outside -1..1")
-    terms = {0: 1}
+    f = ONE
     for a, b in pairs:
-        out = {m + a: c for m, c in terms.items()}  # a shift: no two keys meet
-        get = out.get
-        for m, c in terms.items():
-            out[m + b] = get(m + b, 0) - c
-        terms = out
-    return _bounded(_nonzero(terms), len(pairs))
+        f = _times_binomial(f, a, b)
+    return f
 
 
 def lowest_degree_terms(f: LaurentPoly) -> LaurentPoly:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_kernel import ref_schubert_generators
-from schubert import ideal, perm, pipedream
+from schubert import checks, ideal, perm, pipedream
 from schubert.ideal import Minor
 
 
@@ -144,6 +144,33 @@ def test_purity_s4():
     for w in perm.all_perms(4):
         facets = ideal.stanley_reisner_facets(ideal.antidiagonal_ideal(w))
         assert all(len(f) == 16 - perm.length(w) for f in facets)
+
+
+def extra_dream(monkeypatch, crosses_over_length: int) -> None:
+    """Add to each w's facet complements the dream of the first cells in row
+    order, l(w) + crosses_over_length of them."""
+    complements = ideal.facet_complement_dreams
+
+    def with_extra(w):
+        n = len(w)
+        cells = sorted(ideal.grid(n))[: perm.length(w) + crosses_over_length]
+        return complements(w) | {pipedream.PipeDream(n, frozenset(cells))}
+
+    monkeypatch.setattr(ideal, "facet_complement_dreams", with_extra)
+
+
+def test_prime_decomposition_check_finds_an_impure_complex(monkeypatch):
+    extra_dream(monkeypatch, 1)
+    ok, detail = checks.prime_decomposition(3)
+    assert not ok and detail.startswith("purity fails at")
+
+
+def test_prime_decomposition_check_finds_a_wrong_facet(monkeypatch):
+    # w = 123 gains the empty dream it already has; w = 132 gains {(1, 1)},
+    # which has l(w) crosses but is not in RP(132) = {{(1, 2)}, {(2, 1)}}
+    extra_dream(monkeypatch, 0)
+    ok, detail = checks.prime_decomposition(3)
+    assert not ok and detail.startswith("facet complements != RP at")
 
 
 def test_minimal_poisoning():

@@ -1,5 +1,6 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -382,6 +383,88 @@ def test_results_store_no_zero_coefficient(rf, rg, i, raw_pairs):
 def test_subs_monomial_matches_reference(rf, mapping):
     f = build(rf)
     assert ref_of(f.subs_monomial(mapping)) == ref_subs_monomial(ref_build(rf), mapping)
+
+
+MAPPED = (xvar(1), yvar(3), zvar(2, 1))
+unmapped = variables.filter(lambda v: v not in MAPPED)
+
+
+@KERNEL
+@given(
+    st.lists(st.dictionaries(st.sampled_from(MAPPED), st.integers(-3, 3)), min_size=1, max_size=3),
+    st.lists(st.dictionaries(unmapped, st.integers(-3, 3), max_size=3), min_size=1, max_size=4),
+    unit_exps,
+    st.dictionaries(
+        st.sampled_from(MAPPED[1:]), st.dictionaries(variables, st.integers(-2, 2), max_size=3)
+    ),
+)
+def test_subs_monomial_with_shared_mapped_digits(parts, others, image, mapping):
+    # every mapped part under every other part, so many terms share their
+    # mapped digits; x1^16400 moves past safe (safe <= (2^15 - 1 - reach) / 1
+    # < 16400) and must take the exact route once per term
+    mapping = {xvar(1): image, **mapping}
+    far = [{xvar(1): 16400, **other} for other in others]
+    raw = [({**part, **other}, k + 1) for part in parts for k, other in enumerate(others)]
+    raw += [(exps, 1) for exps in far]
+    f = build(raw)
+    packs = []
+    pack = poly._pack
+    with mock.patch.object(poly, "_pack", lambda exps: packs.append(exps) or pack(exps)):
+        got = f.subs_monomial(mapping)
+    assert ref_of(got) == ref_subs_monomial(ref_build(raw), mapping)
+    far_terms = {m for m in f.terms if dict(poly.exponents(m)).get(xvar(1)) == 16400}
+    assert len(packs) == len(mapping) + len(far_terms)
+
+
+def test_subs_monomial_keeps_no_exact_route():
+    # two terms with the mapped part x1^16400: the first fits after the
+    # substitution, the second reaches x2^32768, which the exact route catches
+    fits = LaurentPoly.monomial({xvar(1): 16400, xvar(2): 16000, yvar(5): -1000})
+    over = LaurentPoly.monomial({xvar(1): 16400, xvar(2): 16368, yvar(5): -1000})
+    mapping = {xvar(1): {xvar(2): 1}}
+    assert fits.subs_monomial(mapping) == LaurentPoly.monomial({xvar(2): 32400, yvar(5): -1000})
+    with pytest.raises(OverflowError):
+        (fits + over).subs_monomial(mapping)
+
+
+@KERNEL
+@given(raw_polys(), unit_exps, st.one_of(st.none(), unit_exps))
+def test_times_binomial_matches_the_product(rf, a, b):
+    f = build(rf)
+    factor = LaurentPoly.monomial(a) - (poly.ZERO if b is None else LaurentPoly.monomial(b))
+    got = poly._times_binomial(f, packed(a), None if b is None else packed(b))
+    assert got.terms == (f * factor).terms
+    assert 0 not in got.terms.values()
+    assert got._reach == poly._reach(f) + 1
+
+
+@KERNEL
+@given(raw_polys(), raw_polys(), unit_exps)
+def test_koszul_matches_the_product_and_sum(rp, rq, wt):
+    p, q = build(rp), build(rq)
+    weight = LaurentPoly.monomial(wt)
+    got = poly._koszul(p, q, packed(wt))
+    assert got.terms == poly._combine((ONE - weight) * p, weight * q, 1).terms
+    assert 0 not in got.terms.values()
+    assert got._reach == max(poly._reach(p), poly._reach(q)) + 1
+
+
+def test_pivot_kernels_overflow_at_the_field_limit():
+    top = 2**15 - 1
+    big = LaurentPoly.monomial({xvar(1): top})
+    x1, x2, y2 = (poly.unit(v) for v in (xvar(1), xvar(2), yvar(2)))
+    for step in (
+        lambda: poly._times_binomial(big, x1),  # the exponent of x1
+        lambda: poly._times_binomial(big, 0, x2),  # the total degree
+        lambda: poly._koszul(big, ONE, x1),  # (1 - x1) * big
+        lambda: poly._koszul(ONE, big, x2),  # x2 * big
+    ):
+        with pytest.raises(OverflowError):
+            step()
+    # at reach 2^15 the bound is made exact, not refused: x2/y2 keeps the degree
+    shifted = poly._times_binomial(big, 0, x2 - y2)
+    assert shifted == big - LaurentPoly.monomial({xvar(1): top, xvar(2): 1, yvar(2): -1})
+    assert shifted._reach == poly._koszul(big, big, x2 - y2)._reach == top
 
 
 @KERNEL
