@@ -110,12 +110,9 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_gb_verify(args) -> int:
-    if args.all_s4:
-        perms = list(perm.all_perms(4))
-    else:
-        if args.permutation is None:
-            raise UsageError("gb-verify needs a permutation or --all-s4")
-        perms = [parse_permutation(args.permutation)]
+    if args.all_s4 == (args.permutation is not None):
+        raise UsageError("gb-verify needs exactly one of a permutation and --all-s4")
+    perms = list(perm.all_perms(4)) if args.all_s4 else [parse_permutation(args.permutation)]
     results = []
     ok = True
     for w in perms:

@@ -139,32 +139,16 @@ def monomial_in_ideal(support: frozenset, ideal: SquarefreeMonomialIdeal) -> boo
 def minimal_covers(generators: Iterable[frozenset]) -> set[frozenset]:
     """All inclusion-minimal hitting sets of a family of nonempty sets.
 
-    Branches on the vertices of a smallest unhit set; once a branch vertex is
-    passed over it is forbidden downstream, so each minimal cover appears in
-    exactly one branch.  Candidates are filtered to inclusion-minimal ones at
-    the end (the branching alone can emit irredundant non-minimal covers).
+    Berge's incremental transversal: after each generator, smallest first,
+    the minimal covers are the minimal ones among the covers that hit it and
+    the covers that miss it, each extended by one of its vertices.
     """
-    gens = [frozenset(g) for g in generators]
-    if any(not g for g in gens):
-        raise ValueError("empty generator cannot be hit")
-    found: set[frozenset] = set()
-
-    def rec(chosen: frozenset, remaining: list[frozenset], forbidden: frozenset):
-        if not remaining:
-            found.add(chosen)
-            return
-        g = min(remaining, key=lambda s: len(s - forbidden))
-        banned = set()
-        for v in sorted(g - forbidden):
-            rec(
-                chosen | {v},
-                [h for h in remaining if v not in h],
-                forbidden | banned,
-            )
-            banned.add(v)
-
-    rec(frozenset(), gens, frozenset())
-    return set(minimalize(found))
+    covers = [frozenset()]
+    for g in sorted(map(frozenset, generators), key=len):
+        if not g:
+            raise ValueError("empty generator cannot be hit")
+        covers = minimalize(h for c in covers for h in ((c,) if c & g else (c | {v} for v in g)))
+    return set(covers)
 
 
 def stanley_reisner_facets(ideal: SquarefreeMonomialIdeal) -> frozenset:

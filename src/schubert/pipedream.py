@@ -50,7 +50,10 @@ class PipeDream:
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "PipeDream":
-        return cls(int(data["n"]), frozenset((int(i), int(j)) for i, j in data["crosses"]))
+        n, cells = data["n"], [tuple(c) for c in data["crosses"]]
+        if not all(type(v) is int for v in (n, *itertools.chain(*cells))) or n < 0:
+            raise ValueError("n and the cross coordinates must be integers, n >= 0")
+        return cls(n, frozenset((i, j) for i, j in cells))
 
     @classmethod
     def from_json(cls, text: str) -> "PipeDream":

@@ -14,8 +14,8 @@ indices k^2 + 1 .. (k+1)^2, holds x_k, y_k, z_k1 .. z_kk, z_1k .. z_{k-1,k}.
 Polynomials built for different n therefore compare equal term by term.  An
 exponent or a total degree of 2^15 or more in absolute value does not fit a
 digit and raises OverflowError.  ``exponents(m)`` decodes a monomial into its
-sorted (variable, exponent) pairs; only printing, JSON and the variable
-query decode.
+sorted (variable, exponent) pairs; only printing, JSON, the variable query
+and ``subs_poly`` decode.
 
 Each kernel makes one pass and fills one term dict, which ``_bounded`` hands
 to the result without a copy: the kernel guarantees that it holds no zero
@@ -360,27 +360,16 @@ class LaurentPoly:
 
         Mapped variables must appear with nonnegative exponents.
         """
-        table = [(v, *_reader(v), unit(v)) for v in mapping]
-        powers: dict[tuple[Var, int], LaurentPoly] = {}
         out: dict[Monomial, int] = {}
         for m, c in self.terms.items():
-            acc = LaurentPoly.const(c)
-            residual, degree = m, _degree(m)
-            for v, lift, shift, u in table:
-                e = (((m + lift) >> shift) & _MASK) - _HALF
-                if not e:
-                    continue
+            rest = dict(exponents(m))
+            subs = [(v, rest.pop(v)) for v in mapping if v in rest]
+            acc = LaurentPoly.monomial(rest, c)
+            for v, e in subs:
                 if e < 0:
-                    raise ValueError(
-                        f"negative exponent on {v} under polynomial substitution"
-                    )
-                if (v, e) not in powers:
-                    powers[v, e] = mapping[v] ** e
-                acc = acc * powers[v, e]
-                residual -= e * u
-                degree -= e
-            _check_exponent(degree, "total degree")
-            for key, term in (acc * LaurentPoly({residual: 1})).terms.items():
+                    raise ValueError(f"negative exponent on {v} under polynomial substitution")
+                acc = acc * mapping[v] ** e
+            for key, term in acc.terms.items():
                 out[key] = out.get(key, 0) + term
         return LaurentPoly(out)
 

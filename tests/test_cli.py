@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import schubert
-from schubert import cli, grobner, hilbert
+from schubert import cli, grobner, hilbert, pipedream
 from schubert.limits import InvariantError
 from test_golden_cli import cases as golden_cases
 
@@ -60,12 +60,33 @@ def test_mitosis_verb(capsys):
     assert len(offspring) == 1
 
 
-@pytest.mark.parametrize("dream", ['{"n":4}', "[1]", '{"n":4,"crosses":[[1]]}', "{"])
+@pytest.mark.parametrize(
+    "dream",
+    [
+        '{"n":4}',
+        "[1]",
+        '{"n":4,"crosses":[[1]]}',
+        "{",
+        # a JSON integer only: no float, bool or string, and n >= 0
+        '{"n":2,"crosses":[[1.5,1]]}',
+        '{"n":2.5,"crosses":[]}',
+        '{"n":true,"crosses":[]}',
+        '{"n":2,"crosses":[["1","1"]]}',
+        '{"n":-3,"crosses":[]}',
+    ],
+)
 def test_malformed_dream_is_usage_error(capsys, dream):
     code, out, err = run(capsys, "mitosis", "--row", "1", "--dream", dream)
     assert (code, out) == (2, "")
     assert err.startswith("error: malformed pipe dream")
     assert "Traceback" not in err
+
+
+def test_empty_dream_round_trips(capsys):
+    code, out, _ = run(capsys, "rp", "[]", "--json")
+    assert (code, out) == (0, '[{"n": 0, "crosses": []}]\n')
+    (data,) = json.loads(out)
+    assert pipedream.PipeDream.from_jsonable(data) == pipedream.PipeDream(0, frozenset())
 
 
 @pytest.mark.parametrize("row", ["0", "9", "-1"])
@@ -108,6 +129,15 @@ def test_gb_verify_all_s4(capsys):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 24
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_gb_verify_permutation_and_all_s4_is_usage_error(capsys):
+    code, out, err = run(capsys, "gb-verify", "21", "--all-s4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: gb-verify needs exactly one")
+    code, out, err = run(capsys, "gb-verify")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: gb-verify needs exactly one")
 
 
 def test_coefficient_blowup_exits_1(capsys, monkeypatch):

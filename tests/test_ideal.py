@@ -1,3 +1,5 @@
+import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -199,6 +201,26 @@ def test_facet_complements_closed_under_chutes():
 def test_minimal_covers_rejects_empty_generator():
     with pytest.raises(ValueError):
         ideal.minimal_covers([frozenset()])
+
+
+def test_minimal_covers_match_brute_force():
+    # every vertex subset that hits each set, kept if no proper subset does
+    rng = random.Random(15)
+    for trial in range(300):
+        vertices = range(rng.randint(1, 7))
+        family = [
+            frozenset(rng.sample(vertices, rng.randint(1, len(vertices))))
+            for _ in range(trial % 6)
+        ]
+        subsets = [
+            frozenset(s)
+            for k in range(len(vertices) + 1)
+            for s in itertools.combinations(vertices, k)
+        ]
+        hitting = [s for s in subsets if all(s & g for g in family)]
+        brute = {s for s in hitting if not any(h < s for h in hitting)}
+        assert ideal.minimal_covers(family) == brute
+    assert ideal.minimal_covers([]) == {frozenset()}
 
 
 def test_facets_guard(monkeypatch):

@@ -572,6 +572,18 @@ def test_overflow_at_the_field_limit():
         poly_from_jsonable([{"coeff": 1, "exps": {"x1": 2**15}}])
 
 
+def test_subs_poly_error_paths():
+    y1 = LaurentPoly.monomial({yvar(1): -1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        y1.subs_poly({yvar(1): x(1)})
+    assert y1.subs_poly({xvar(1): x(2)}) == y1  # an unmapped y1^-1 is kept
+    x1x2 = {xvar(1): x(1) * x(2)}
+    below = LaurentPoly.monomial({xvar(1): 2**14 - 1}).subs_poly(x1x2)
+    assert below == LaurentPoly.monomial({xvar(1): 2**14 - 1, xvar(2): 2**14 - 1})
+    with pytest.raises(OverflowError):
+        LaurentPoly.monomial({xvar(1): 2**14}).subs_poly(x1x2)  # degree 2^15
+
+
 def test_double_families_have_a_size_guard(monkeypatch):
     computed = []
     for name in ("_double_schubert", "_double_grothendieck"):

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from schubert import bruhatlab, checks, hilbert, ideal, perm, pipedream, poly, subword
+from schubert import bruhatlab, checks, grobner, hilbert, ideal, perm, pipedream, poly, subword
 from schubert.poly import LaurentPoly
 
 
@@ -68,6 +68,24 @@ def test_theorem_a_makes_no_polynomial_product(monkeypatch):
     assert products == []
     assert len(hilbert._K_CACHE) == 386
     assert len(calls) == 692
+
+
+def test_theorem_b_enumerates_the_minors_once_per_order(monkeypatch):
+    # verify_theorem_b over S4 under both antidiagonal orders, J_w from a
+    # cold cache: one enumeration of the minors per (w, order) and no J_w,
+    # since the minors' antidiagonals already give in(I_w) = J_w (building
+    # J_w as well made 72 enumerations and 48 antidiagonal_ideal calls)
+    ideal.antidiagonal_ideal.cache_clear()
+    minors, jws = [], []
+    enumerate_minors, build_jw = ideal.schubert_generators, ideal.antidiagonal_ideal
+    monkeypatch.setattr(
+        ideal, "schubert_generators", lambda w: minors.append(w) or enumerate_minors(w)
+    )
+    monkeypatch.setattr(ideal, "antidiagonal_ideal", lambda w: jws.append(w) or build_jw(w))
+    for name in ("antidiag-revlex", "antidiag-lex"):
+        order = grobner.TERM_ORDERS[name](4)
+        assert all(grobner.verify_theorem_b(w, order) for w in perm.all_perms(4))
+    assert (len(minors), len(jws)) == (48, 0)
 
 
 def test_subword_complex_length_calls():
