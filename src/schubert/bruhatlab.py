@@ -327,25 +327,15 @@ def mitosis_facet_bridge(w: Perm, i: int) -> bool:
     """For every facet-supported squarefree b of the complex of J_w, the odd
     mutations of 2b reproduce the mitosis offspring of D(b), and the facet
     complements for J_{w s_i} are exactly the disjoint union of those
-    offspring."""
+    offspring (InvariantError if two of them overlap)."""
     w = perm.validate(w)
     n = len(w)
     size_guard(n, 5, "mitosis_facet_bridge")
     ws = perm.descend(w, i)
-
-    facets = ideal_mod.stanley_reisner_facets(ideal_mod.antidiagonal_ideal(w))
-    all_offspring: list[frozenset] = []
-    for facet in facets:
-        b = ExponentArray.from_support(n, facet)
+    dreams = ideal_mod.facet_complement_dreams(w)
+    for d in dreams:
+        b = ExponentArray.from_support(n, ideal_mod.grid(n) - d.crosses)
         chain = lifted_demazure(i, w, b.scale(2))
-        via_mutation = frozenset(map(dream_of, chain[1::2]))
-        offspring = pipedream.mitosis(i, dream_of(b))
-        if via_mutation != offspring:
+        if frozenset(map(dream_of, chain[1::2])) != pipedream.mitosis(i, d):
             return False
-        all_offspring.append(offspring)
-
-    union: set = set().union(*all_offspring) if all_offspring else set()
-    if len(union) != sum(len(s) for s in all_offspring):
-        return False  # offspring sets must be pairwise disjoint
-    target = ideal_mod.facet_complement_dreams(ws)
-    return frozenset(union) == target
+    return pipedream._mitosis_union(i, dreams) == ideal_mod.facet_complement_dreams(ws)

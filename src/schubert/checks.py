@@ -205,10 +205,11 @@ def subword_checks(n: int = 4) -> tuple[bool, str]:
     )
     if pentagon.facets != expected:
         return False, "pentagon facets"
-    complexes = [pentagon]
+    # vertex_decompose raises InvariantError unless its order is a shelling
+    subword.vertex_decompose(pentagon)
     word = subword.square_word(n)
     cox2n = subword.symmetric_group(2 * n)
-    for w in perm.all_perms(n):
+    for count, w in enumerate(perm.all_perms(n), 1):
         delta = subword.subword_complex(word, perm.embed(w, 2 * n), cox2n)
         dreams = frozenset(
             pipedream.PipeDream(
@@ -221,13 +222,8 @@ def subword_checks(n: int = 4) -> tuple[bool, str]:
         )
         if dreams != pipedream.rp_mitosis(w):
             return False, f"square-word facets differ from RP at {w}"
-        complexes.append(delta)
-    for delta in complexes:
-        tree = subword.vertex_decompose(delta)
-        order = subword.shelling_from_decomposition(tree)
-        if not subword.is_shelling(order, delta.facets):
-            return False, "shelling certification failed"
-    return True, f"pentagon + {len(complexes) - 1} square-word complexes"
+        subword.vertex_decompose(delta)
+    return True, f"pentagon + {count} square-word complexes"
 
 
 # -- criterion 9: the Part-3 suites ---------------------------------------------------

@@ -166,11 +166,10 @@ def cmd_subword(args) -> int:
     delta = subword.subword_complex(word, perm.embed(pi, n), cox)
     payload: dict = {"facets": delta.facets_sorted()}
     if args.decompose and not delta.is_void():
-        tree = subword.vertex_decompose(delta)
-        shelling = subword.shelling_from_decomposition(tree)
+        tree, shelling = subword.vertex_decompose(delta)  # InvariantError unless a shelling
         payload["decomposition"] = subword.decomposition_to_jsonable(tree)
         payload["shelling"] = [sorted(f) for f in shelling]
-        payload["is_shelling"] = subword.is_shelling(shelling, delta.facets)
+        payload["is_shelling"] = True
     if args.json:
         print(json.dumps(payload))
     else:

@@ -138,15 +138,12 @@ def multidegree_additive(
     vertices = ideal_mod.grid(n)
     terms: dict = {}
     for f in facets:
-        shift, pairs = 0, []
+        product = ONE
         for cell in vertices.difference(f):
             _, a, b = _packed_weight(grading, cell)
-            if b is None:
-                shift += a
-            else:
-                pairs.append((a, b))
-        for m, c in poly.binomial_product(pairs).terms.items():
-            terms[m + shift] = terms.get(m + shift, 0) + c
+            product = poly._times_binomial(product, a, b)
+        for m, c in product.terms.items():
+            terms[m] = terms.get(m, 0) + c
     return LaurentPoly(terms)
 
 

@@ -28,11 +28,11 @@ operator on the x block, sign * d_i(x_{i+1}^lift f), with (lift, sign) =
 with u = x_i, v = x_{i+1}, so no polynomial division ever happens.
 ``_times_binomial`` multiplies by one binomial a - b (or shifts by a) and
 ``_koszul`` forms (1 - x^wt) p + x^wt q, each in one pass, for monomials
-whose digits lie in -1..1; they are the steps of the pivot recursion in
-``hilbert``, and ``binomial_product`` (the family tops and the pipe-dream
-weights) is a fold of the first.  ``subs_monomial`` reads all the mapped
-digits of a term with one mask and computes the change once per distinct
-value of them.
+whose digits lie in -1..1; they are the steps of the pivot recursion and
+the additive multidegree in ``hilbert``, and ``binomial_product`` (the
+family tops and the pipe-dream weights) is a fold of the first.
+``subs_monomial`` reads all the mapped digits of a term with one mask and
+computes the change once per distinct value of them.
 
 The family functions (schubert, grothendieck, and their double versions) are
 memoized per permutation by ``perm.weak_order_family``: each starts at its
@@ -537,7 +537,9 @@ def double_schubert(w: Sequence[int]) -> LaurentPoly:
 
 def grothendieck(w: Sequence[int]) -> LaurentPoly:
     """The Grothendieck polynomial of w."""
-    return _grothendieck(perm.validate(w))
+    w = perm.validate(w)
+    size_guard(len(w), 8, "grothendieck")
+    return _grothendieck(w)
 
 
 def double_grothendieck(w: Sequence[int]) -> LaurentPoly:

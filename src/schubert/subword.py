@@ -174,40 +174,37 @@ class DecompositionNode:
     deletion: object | None  # None exactly when cone
 
 
-def vertex_decompose(delta: SubwordComplex) -> object:
+def vertex_decompose(delta: SubwordComplex) -> tuple[object, list[frozenset]]:
     """Decomposition tree along the first letter, per the subword recursion:
-    link drops the letter, deletion shortens pi when the letter is a descent.
+    link drops the letter, deletion shortens pi when the letter is a descent;
+    returned with the Provan-Billera order read off it.
 
-    The shelling read off the tree must list each facet exactly once;
-    InvariantError if not.
+    InvariantError unless that order is a shelling of the facets.
     """
     if delta.is_void():
         raise ValueError("cannot decompose the void complex")
-    cox = delta.cox
-    labels = tuple(range(len(delta.word)))
-    tree = _decompose(delta.word, delta.pi, cox.length(delta.pi), labels, cox)
+    tree = _decompose(delta.word, 0, delta.pi, delta.cox.length(delta.pi), delta.cox)
     order = shelling_from_decomposition(tree)
-    if len(order) != len(delta.facets) or set(order) != delta.facets:
-        raise InvariantError("decomposition tree does not replay to the facets")
-    return tree
+    if not is_shelling(order, delta.facets):
+        raise InvariantError("decomposition tree does not replay to the facets as a shelling")
+    return tree, order
 
 
-def _decompose(word: tuple, pi, pi_length: int, labels: tuple, cox: CoxeterSystem):
-    if not contains(word, pi, cox):
-        return VOID_LEAF
-    if not word:
-        return EMPTY_LEAF
-    if pi_length == len(word):
-        # the whole word is forced: single facet = empty set
-        return EMPTY_LEAF
-    sigma = word[0]
-    rest, rest_labels = word[1:], labels[1:]
-    link_tree = _decompose(rest, pi, pi_length, rest_labels, cox)
-    spi = cox.left_mul(sigma, pi)
-    if cox.length(spi) < pi_length:
-        del_tree = _decompose(rest, spi, pi_length - 1, rest_labels, cox)
-        return DecompositionNode(labels[0], False, link_tree, del_tree)
-    return DecompositionNode(labels[0], True, link_tree, None)
+def _decompose(word: tuple, pos: int, pi, pi_length: int, cox: CoxeterSystem):
+    """Tree of the complex of word[pos:] and pi, which must contain pi.  Only
+    the link of a descent letter can be void: the deletion contains sigma pi
+    by the subword property, and the link of a cone letter contains pi, as
+    no reduced subword uses that letter."""
+    if pi_length == len(word) - pos:
+        return EMPTY_LEAF  # the whole word is forced: single facet = empty set
+    spi = cox.left_mul(word[pos], pi)
+    if cox.length(spi) > pi_length:
+        return DecompositionNode(pos, True, _decompose(word, pos + 1, pi, pi_length, cox), None)
+    link_tree = VOID_LEAF
+    if contains(word[pos + 1 :], pi, cox):
+        link_tree = _decompose(word, pos + 1, pi, pi_length, cox)
+    del_tree = _decompose(word, pos + 1, spi, pi_length - 1, cox)
+    return DecompositionNode(pos, False, link_tree, del_tree)
 
 
 def shelling_from_decomposition(tree) -> list[frozenset]:
@@ -223,23 +220,17 @@ def shelling_from_decomposition(tree) -> list[frozenset]:
 
 
 def is_shelling(order: Sequence[frozenset], facets: Iterable[frozenset]) -> bool:
-    """Check that the ordered facets satisfy the shelling condition: each new
-    facet meets the union of its predecessors in a nonempty union of its
-    codimension-1 faces (vacuous for the first facet and for 0-size facets)."""
+    """Bjorner-Wachs: the order lists each facet once, and each facet meets
+    the complex of its predecessors in a pure complex of codimension 1 in it,
+    so every meet with an earlier facet lies in a meet of one size less."""
     order = [frozenset(f) for f in order]
     facets = set(facets)
     if set(order) != facets or len(order) != len(facets):
         return False
-    for idx in range(1, len(order)):
-        f = order[idx]
-        overlap = frozenset().union(*(f & g for g in order[:idx]))
-        ridge_union = frozenset()
-        hit = False
-        for x in f:
-            if f - {x} <= overlap:
-                hit = True
-                ridge_union |= f - {x}
-        if not hit or ridge_union != overlap:
+    for k in range(1, len(order)):
+        meets = [order[k] & g for g in order[:k]]
+        ridges = [m for m in meets if len(m) == len(order[k]) - 1]
+        if not all(any(m <= r for r in ridges) for m in meets):
             return False
     return True
 

@@ -37,6 +37,12 @@ multidegree).  ``subword_facets_by_prefix``
 is the facet search schubert.subword made before it peeled right descents:
 left to right, keeping the partial products that are weak-order prefixes of
 pi.
+
+``ref_decompose`` is the vertex decomposition schubert.subword made before
+it tested containment only where a link can be void: it tests every node and
+carries the vertex labels of the shortened word.  ``ref_is_shelling`` is the
+Bjorner-Wachs shelling test by brute force over the faces of each meet
+complex.
 """
 
 import itertools
@@ -47,6 +53,7 @@ from schubert import perm, pipedream, poly
 from schubert.ideal import Minor, essential_cells
 from schubert.hilbert import GRADINGS, exp_weight
 from schubert.pipedream import PipeDream
+from schubert.subword import EMPTY_LEAF, VOID_LEAF, DecompositionNode, contains
 from schubert.poly import ONE, TVAR, LaurentPoly, xvar, yvar, zvar
 
 
@@ -274,6 +281,45 @@ def subword_facets_by_prefix(word, pi, cox) -> frozenset:
     rec(0, (), cox.identity)
     positions = frozenset(range(len(word)))
     return frozenset(positions - p for p in reduced_subwords)
+
+
+def ref_decompose(word: tuple, pi, pi_length: int, labels: tuple, cox):
+    """Decomposition tree of the subword complex of (word, pi), its vertices
+    named by ``labels``."""
+    if not contains(word, pi, cox):
+        return VOID_LEAF
+    if not word:
+        return EMPTY_LEAF
+    if pi_length == len(word):
+        # the whole word is forced: single facet = empty set
+        return EMPTY_LEAF
+    sigma = word[0]
+    rest, rest_labels = word[1:], labels[1:]
+    link_tree = ref_decompose(rest, pi, pi_length, rest_labels, cox)
+    spi = cox.left_mul(sigma, pi)
+    if cox.length(spi) < pi_length:
+        del_tree = ref_decompose(rest, spi, pi_length - 1, rest_labels, cox)
+        return DecompositionNode(labels[0], False, link_tree, del_tree)
+    return DecompositionNode(labels[0], True, link_tree, None)
+
+
+def ref_is_shelling(order, facets) -> bool:
+    """Whether the order lists each facet once and, from the second facet
+    on, every maximal face of the complex it shares with its predecessors
+    has one cell less than it (Bjorner-Wachs)."""
+    order = [frozenset(f) for f in order]
+    if sorted(map(sorted, order)) != sorted(map(sorted, facets)):
+        return False
+    for k, f in enumerate(order[1:], start=1):
+        faces = {
+            frozenset(c)
+            for g in order[:k]
+            for r in range(len(f) + 1)
+            for c in itertools.combinations(sorted(f & g), r)
+        }
+        if any(len(s) != len(f) - 1 for s in faces if not any(s < t for t in faces)):
+            return False
+    return True
 
 
 # -- monomials as exponent tuples, for the Groebner oracles ---------------------------

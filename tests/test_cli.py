@@ -240,6 +240,14 @@ def test_rp_mitosis_past_size_guard_exits_2(capsys, monkeypatch):
     assert err == "error: rp_mitosis: n=9 exceeds cap 8 (set SCHUBERT_MAX_N to override)\n"
 
 
+def test_grothendieck_past_size_guard_exits_2(capsys, monkeypatch):
+    # unguarded, the family from w0 took 3.8 s at n = 9 and 52 s at n = 10
+    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+    code, out, err = run(capsys, "grothendieck", "123456789")
+    assert (code, out) == (2, "")
+    assert err == "error: grothendieck: n=9 exceeds cap 8 (set SCHUBERT_MAX_N to override)\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "", "4.5"])
 def test_malformed_max_n_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("SCHUBERT_MAX_N", value)

@@ -1,10 +1,16 @@
+import collections
 import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference_kernel import contains_bruteforce, subword_facets_by_prefix
+from reference_kernel import (
+    contains_bruteforce,
+    ref_decompose,
+    ref_is_shelling,
+    subword_facets_by_prefix,
+)
 from schubert import perm, pipedream, subword
 from schubert.subword import (
     EMPTY_LEAF,
@@ -110,18 +116,18 @@ def test_link_of_cone_vertex_equals_deletion():
 
 def test_vertex_decompose_pentagon():
     delta = subword_complex((3, 2, 3, 2, 3), (1, 4, 3, 2), COX4)
-    tree = subword.vertex_decompose(delta)
-    order = subword.shelling_from_decomposition(tree)
+    tree, order = subword.vertex_decompose(delta)
+    assert order == subword.shelling_from_decomposition(tree)
     assert set(order) == delta.facets
     assert subword.is_shelling(order, delta.facets)
 
 
 def test_vertex_decompose_full_simplex():
     delta = subword_complex((1, 2), perm.identity(3), symmetric_group(3))
-    tree = subword.vertex_decompose(delta)
+    tree, order = subword.vertex_decompose(delta)
     # single chain of cone vertices down to the empty complex
     assert tree.cone and tree.link.cone and tree.link.link == EMPTY_LEAF
-    assert subword.shelling_from_decomposition(tree) == [fs(0, 1)]
+    assert order == [fs(0, 1)]
 
 
 def test_square_word_and_rp_bijection_2143():
@@ -139,9 +145,8 @@ def test_square_word_and_rp_bijection_2143():
         for f in delta.facets
     )
     assert dreams == pipedream.rp_mitosis((2, 1, 4, 3))
-    tree = subword.vertex_decompose(delta)
-    leaves = set(subword.shelling_from_decomposition(tree))
-    assert len(leaves) == 3
+    _, order = subword.vertex_decompose(delta)
+    assert len(set(order)) == 3
 
 
 def test_pentagon_shellings_exhaustively():
@@ -162,6 +167,35 @@ def test_is_shelling_rejects_disconnected_order():
     assert not subword.is_shelling([fs(0, 1)], facets)  # must cover all facets
 
 
+def test_is_shelling_rejects_meets_in_separate_points():
+    # the last triangle meets the earlier ones in the points 0, 4 and 4: its
+    # meet complex is two points, not pure of dimension 1
+    order = [fs(0, 1, 3), fs(1, 3, 4), fs(3, 4, 5), fs(0, 2, 4)]
+    assert subword.is_shelling(order[:3], order[:3])
+    assert not subword.is_shelling(order, order)
+    assert not ref_is_shelling(order, order)
+
+
+def random_antichain(rng, n_vertices, n_sets):
+    sets = {
+        frozenset(v for v in range(n_vertices) if rng.random() < 0.5) for _ in range(n_sets)
+    }
+    return [s for s in sets if not any(s < t for t in sets)]
+
+
+def test_is_shelling_matches_brute_force():
+    # random antichains, pure and not, in random order, on 3 to 7 vertices
+    rng = random.Random(16)
+    answers = collections.Counter()
+    for _ in range(3000):
+        facets = random_antichain(rng, rng.randrange(3, 8), rng.randrange(2, 9))
+        rng.shuffle(facets)
+        expected = ref_is_shelling(facets, facets)
+        assert subword.is_shelling(facets, frozenset(facets)) == expected, facets
+        answers[len(facets) > 1, expected] += 1
+    assert min(answers[True, False], answers[True, True]) > 500  # both answers occur
+
+
 def test_single_facet_complex_trivially_shellable():
     assert subword.is_shelling([fs(0, 1, 2)], fs(fs(0, 1, 2)))
     assert subword.is_shelling([fs()], fs(fs()))
@@ -169,7 +203,7 @@ def test_single_facet_complex_trivially_shellable():
 
 def test_decomposition_json():
     delta = subword_complex((1, 2, 1), (2, 1, 3), symmetric_group(3))
-    tree = subword.vertex_decompose(delta)
+    tree, _ = subword.vertex_decompose(delta)
     data = subword.decomposition_to_jsonable(tree)
     assert isinstance(data, (dict, str))
 
@@ -214,6 +248,11 @@ PERMS4 = list(perm.all_perms(4))
 @example([2, 1, 2, 1, 2, 1], (3, 2, 1, 4))  # two full reduced words and more
 def test_facets_match_reference_random_words(word, pi):
     assert_search_matches_reference(word, pi, COX4)
+    delta = subword_complex(word, pi, COX4)
+    if not delta.is_void():
+        tree, _ = subword.vertex_decompose(delta)
+        labels = tuple(range(len(word)))
+        assert tree == ref_decompose(tuple(word), pi, perm.length(pi), labels, COX4)
 
 
 def test_descent_rejects_out_of_range_letters():

@@ -103,20 +103,27 @@ def test_subword_complex_length_calls():
     assert len(calls) == 1
 
 
-def test_vertex_decomposition_length_calls():
+def test_vertex_decomposition_length_calls(monkeypatch):
     # the 24 square-word complexes of checks.subword_checks(4): one length
     # for pi at the root, then one for s*pi per node, as the link keeps
     # length(pi) and the deletion lowers it by one (measuring length(pi)
-    # again at every node made 1,761)
+    # again at every node made 1,761); containment is tested only for the
+    # link of a descent letter, the one child that can be void (testing it
+    # at every node made 713 calls)
     n = 4
     word = subword.square_word(n)
     cox = subword.symmetric_group(2 * n)
-    calls = []
+    calls, contains_calls = [], []
     counting = dataclasses.replace(cox, length=lambda u: calls.append(u) or perm.length(u))
+    contains = subword.contains
+    monkeypatch.setattr(
+        subword, "contains", lambda *args: contains_calls.append(args) or contains(*args)
+    )
     for w in perm.all_perms(n):
         delta = subword.subword_complex(word, perm.embed(w, 2 * n), cox)
         subword.vertex_decompose(dataclasses.replace(delta, cox=counting))
     assert len(calls) == 611
+    assert len(contains_calls) == 102
 
 
 def count_arrays_built(monkeypatch) -> list:
