@@ -332,10 +332,11 @@ def mitosis_facet_bridge(w: Perm, i: int) -> bool:
     n = len(w)
     size_guard(n, 5, "mitosis_facet_bridge")
     ws = perm.descend(w, i)
-    dreams = ideal_mod.facet_complement_dreams(w)
-    for d in dreams:
+    offspring = []
+    for d in ideal_mod.facet_complement_dreams(w):
         b = ExponentArray.from_support(n, ideal_mod.grid(n) - d.crosses)
         chain = lifted_demazure(i, w, b.scale(2))
-        if frozenset(map(dream_of, chain[1::2])) != pipedream.mitosis(i, d):
+        offspring.append(pipedream.mitosis(i, d))
+        if frozenset(map(dream_of, chain[1::2])) != offspring[-1]:
             return False
-    return pipedream._mitosis_union(i, dreams) == ideal_mod.facet_complement_dreams(ws)
+    return pipedream._disjoint_union(i, offspring) == ideal_mod.facet_complement_dreams(ws)

@@ -12,17 +12,17 @@ from collections import Counter
 
 from . import bruhatlab, grobner, hilbert, ideal, perm, pipedream, poly, subword
 from .bruhatlab import ExponentArray
-from .limits import SizeGuardError
-from .poly import LaurentPoly, ONE, unit, xvar, yvar
+from .limits import SizeGuardError, size_guard
+from .poly import LaurentPoly, ONE, xvar
 
 
 def x_monomial(d: pipedream.PipeDream) -> LaurentPoly:
-    return LaurentPoly.monomial(Counter(xvar(i) for i, _ in d.crosses))
+    return hilbert.weight_product(d.crosses, "zn")
 
 
 def xy_weight(d: pipedream.PipeDream) -> LaurentPoly:
     """The product of x_i - y_j over the crosses (i, j) of d."""
-    return poly.binomial_product((unit(xvar(i)), unit(yvar(j))) for i, j in d.crosses)
+    return hilbert.weight_product(d.crosses, "z2n")
 
 
 # -- criterion 1: the S3 Schubert table ---------------------------------------
@@ -403,6 +403,8 @@ def stability(n: int = 3, big: int = 5) -> tuple[bool, str]:
 
 
 def run_all(n: int = 4, slow: bool = False) -> list[tuple[str, bool, str]]:
+    # past n = 6, criteria 3 and 5 take hours of brute-force RP(w)
+    size_guard(n, 6, "check-all")
     n_small = min(n, 4)
     results = []
 

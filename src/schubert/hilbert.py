@@ -131,6 +131,16 @@ def multidegree_of_ideal(ideal: SquarefreeMonomialIdeal, grading: str = "zn") ->
     return _of_ideal(ideal, grading, "multidegree_of_ideal")[1]
 
 
+def weight_product(cells: Iterable[Cell], grading: str) -> LaurentPoly:
+    """The product of the ordinary weights of the cells, one _times_binomial
+    step per cell: the multidegree of the coordinate subspace they cut out."""
+    product = ONE
+    for cell in cells:
+        _, a, b = _packed_weight(grading, cell)
+        product = poly._times_binomial(product, a, b)
+    return product
+
+
 def multidegree_additive(
     facets: Iterable[frozenset], n: int, grading: str = "zn"
 ) -> LaurentPoly:
@@ -138,11 +148,7 @@ def multidegree_additive(
     vertices = ideal_mod.grid(n)
     terms: dict = {}
     for f in facets:
-        product = ONE
-        for cell in vertices.difference(f):
-            _, a, b = _packed_weight(grading, cell)
-            product = poly._times_binomial(product, a, b)
-        for m, c in product.terms.items():
+        for m, c in weight_product(vertices.difference(f), grading).terms.items():
             terms[m] = terms.get(m, 0) + c
     return LaurentPoly(terms)
 

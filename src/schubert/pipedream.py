@@ -164,14 +164,18 @@ def top_pipe_dream(w: Perm) -> PipeDream:
     return d
 
 
-def _mitosis_union(i: int, dreams: frozenset) -> frozenset:
-    """RP(w) from RP(w s_i) for an ascent i of w: the union of the offspring."""
-    offspring = [mitosis(i, d) for d in dreams]
+def _disjoint_union(i: int, offspring: list) -> frozenset:
+    """The union of the mitosis offspring at row i of the dreams of RP(w s_i)."""
     union = frozenset().union(*offspring)
     # Theorem: the union is disjoint; each dream arises exactly once.
     if len(union) != sum(len(s) for s in offspring):
         raise InvariantError(f"mitosis offspring overlap at row {i}")
     return union
+
+
+def _mitosis_union(i: int, dreams: frozenset) -> frozenset:
+    """RP(w) from RP(w s_i) for an ascent i of w: the union of the offspring."""
+    return _disjoint_union(i, [mitosis(i, d) for d in dreams])
 
 
 _rp = perm.weak_order_family(lambda n: frozenset([d0(n)]), _mitosis_union)

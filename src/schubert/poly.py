@@ -28,9 +28,10 @@ operator on the x block, sign * d_i(x_{i+1}^lift f), with (lift, sign) =
 with u = x_i, v = x_{i+1}, so no polynomial division ever happens.
 ``_times_binomial`` multiplies by one binomial a - b (or shifts by a) and
 ``_koszul`` forms (1 - x^wt) p + x^wt q, each in one pass, for monomials
-whose digits lie in -1..1; they are the steps of the pivot recursion and
-the additive multidegree in ``hilbert``, and ``binomial_product`` (the
-family tops and the pipe-dream weights) is a fold of the first.
+whose digits lie in -1..1; they are the steps of the pivot recursion in
+``hilbert``, and every product of cell weights is a fold of the first: the
+family tops over the staircase here, ``hilbert.weight_product`` for the
+additive multidegree and the pipe-dream weights.
 ``subs_monomial`` reads all the mapped digits of a term with one mask and
 computes the change once per distinct value of them.
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 import json
 from itertools import zip_longest
 from math import isqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import perm
 from .limits import size_guard
@@ -114,11 +115,6 @@ def unit(v: Var) -> Monomial:
 def _ones(k: int) -> int:
     """A one in each of the digits 0 .. k-1."""
     return ((1 << (_BITS * k)) - 1) // _MASK
-
-
-def _span(terms) -> int:
-    """Number of digits that covers every monomial of terms."""
-    return max(map(abs, terms), default=0).bit_length() // _BITS + 2
 
 
 def _degree(m: Monomial) -> int:
@@ -237,11 +233,6 @@ class LaurentPoly:
     def monomial(cls, exps: Mapping[Var, int], coeff: int = 1) -> "LaurentPoly":
         reach = max(abs(sum(exps.values())), *map(abs, exps.values()), 0)  # exact
         return _bounded(_nonzero({_pack(exps): coeff}), reach)
-
-    @classmethod
-    def linear(cls, coeffs: Mapping[Var, int]) -> "LaurentPoly":
-        """The linear form sum c * v."""
-        return _bounded({unit(v): c for v, c in coeffs.items() if c}, 1)
 
     # -- ring operations ---------------------------------------------------
 
@@ -471,23 +462,6 @@ def _koszul(p: LaurentPoly, q: LaurentPoly, wt: Monomial) -> LaurentPoly:
     return _bounded(out, reach)
 
 
-def binomial_product(pairs: Iterable[tuple[Monomial, Monomial]]) -> LaurentPoly:
-    """The product of a - b over pairs (a, b) of packed monomials whose every
-    exponent and degree lies in -1..1 (x_i - y_j, 1 - x_i/y_j), expanded one
-    factor at a time.  Its reach is the number of factors."""
-    pairs = list(pairs)
-    _check_exponent(len(pairs), "number of factors")
-    # +1 per digit keeps every field of m and -m in 0..3 iff no digit leaves -1..1
-    ones = _ones(_span([m for pair in pairs for m in pair]))
-    high = ones * (_MASK ^ 3)
-    if any(high & (ones + m) or high & (ones - m) for pair in pairs for m in pair):
-        raise ValueError("binomial_product: an exponent or a degree outside -1..1")
-    f = ONE
-    for a, b in pairs:
-        f = _times_binomial(f, a, b)
-    return f
-
-
 def lowest_degree_terms(f: LaurentPoly) -> LaurentPoly:
     """Sum of the terms of minimal total degree (ValueError on zero)."""
     lo = f.min_total_degree()
@@ -497,25 +471,30 @@ def lowest_degree_terms(f: LaurentPoly) -> LaurentPoly:
 # -- polynomial families -----------------------------------------------------
 
 
+def _staircase_product(n: int, factor) -> LaurentPoly:
+    """The product of the binomials factor(x_i, y_j) over the cells i + j <= n."""
+    f = ONE
+    for i in range(1, n):
+        for j in range(1, n + 1 - i):
+            f = _times_binomial(f, *factor(unit(xvar(i)), unit(yvar(j))))
+    return f
+
+
 def schubert_top(n: int) -> LaurentPoly:
     """S_{w0} = x1^{n-1} x2^{n-2} ... x_{n-1}."""
-    return LaurentPoly.monomial({xvar(i): n - i for i in range(1, n)})
+    return _staircase_product(n, lambda x, y: (x, None))
 
 
 def double_schubert_top(n: int) -> LaurentPoly:
-    return binomial_product(
-        (unit(xvar(i)), unit(yvar(j))) for i in range(1, n) for j in range(1, n + 1 - i)
-    )
+    return _staircase_product(n, lambda x, y: (x, y))
 
 
 def grothendieck_top(n: int) -> LaurentPoly:
-    return binomial_product((0, unit(xvar(i))) for i in range(1, n) for _ in range(n - i))
+    return _staircase_product(n, lambda x, y: (0, x))
 
 
 def double_grothendieck_top(n: int) -> LaurentPoly:
-    return binomial_product(
-        (0, unit(xvar(i)) - unit(yvar(j))) for i in range(1, n) for j in range(1, n + 1 - i)
-    )
+    return _staircase_product(n, lambda x, y: (0, x - y))
 
 
 _schubert = perm.weak_order_family(schubert_top, divided_difference)

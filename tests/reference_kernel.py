@@ -10,10 +10,10 @@ K(1 - t) expansion that defines a multidegree, the oracle for the pivot
 recursion in schubert.hilbert.
 
 The ``loop_*`` functions are the per-factor ``LaurentPoly`` products that
-built the family tops and the double BJS weight before
-``poly.binomial_product`` expanded them in one term dict; ``ref_demazure``
-is the two-step Demazure operator -d_i(x_{i+1} f) that ``poly.demazure``
-fuses into one pass.
+built the family tops and the double BJS weight before they became folds
+of the one-pass ``poly._times_binomial``; ``ref_demazure`` is the two-step
+Demazure operator -d_i(x_{i+1} f) that ``poly.demazure`` fuses into one
+pass.
 
 ``ref_rank_matrix``, ``ref_schubert_generators`` and ``ref_minor_polynomial``
 are the O(n^3) rank matrix, the minor enumeration over every position of
@@ -237,7 +237,7 @@ def coarsen(k: LaurentPoly, to: str) -> LaurentPoly:
 
 def ord_weight(grading: str, cell) -> LaurentPoly:
     """Ordinary weight of z_cell: the linear form sum e*v over exp_weight."""
-    return LaurentPoly.linear(exp_weight(grading, cell))
+    return LaurentPoly({poly.unit(v): e for v, e in exp_weight(grading, cell).items()})
 
 
 def coarsen_multidegree(c: LaurentPoly, to: str) -> LaurentPoly:

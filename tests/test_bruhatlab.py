@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -213,6 +214,24 @@ def test_thm_ev_truncated():
     for n in (3, 4):
         ok, detail = checks.thm_ev_truncated(n, 4)
         assert ok, detail
+
+
+def test_tau_involution_s4_sample(monkeypatch):
+    # the four properties of tau on a seeded draw of 3 of the 4 w of S4 of
+    # length >= 5, at entries 0..1: 0.05-0.16 s each on a 2-core host, where
+    # length 3 costs 0.45-1.3 s and 1234 about 4 s (all of S4 is --runslow)
+    pool = [w for w in perm.all_perms(4) if perm.length(w) >= 5]
+    sample = random.Random(4).sample(pool, 3)
+    monkeypatch.setattr(checks.perm, "all_perms", lambda n: sample)
+    ok, detail = checks.tau_involution(4, 1)
+    assert ok, detail
+    assert sample == [(4, 2, 3, 1), (4, 3, 2, 1), (3, 4, 2, 1)]
+    assert detail == f"{6144 + 3072 + 6144} (w, i, b) triples"
+
+
+@pytest.mark.slow
+def test_tau_involution_s4():
+    assert checks.tau_involution(4, 1) == (True, "1305600 (w, i, b) triples")
 
 
 def test_mitosis_facet_bridge_s4():

@@ -257,11 +257,13 @@ def test_malformed_max_n_is_usage_error(capsys, monkeypatch, value):
 
 
 def test_check_all_past_size_guard_exits_2(capsys, monkeypatch):
-    # bjs-identity-s8 reaches rp_bruteforce, capped at 7, before any sweep
+    # the sweep is capped before any check runs: at n = 7 every per-call cap
+    # passed, and criteria 3 and 5 took about 1.8 s of brute-force RP(w) per w
     monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
-    code, out, err = run(capsys, "check-all", "--n", "8")
-    assert (code, out) == (2, "")
-    assert err == "error: rp_bruteforce: n=8 exceeds cap 7 (set SCHUBERT_MAX_N to override)\n"
+    for n in (7, 8):
+        code, out, err = run(capsys, "check-all", "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == f"error: check-all: n={n} exceeds cap 6 (set SCHUBERT_MAX_N to override)\n"
 
 
 def test_check_all_deterministic(capsys):

@@ -3,7 +3,8 @@ verbs print the same bytes as the zn2-then-coarsen code did (all of S4 in the
 four gradings, all of S5 in zn2 and z2n); rp and ideal --json over S1-S5, the
 two subword decompositions and check-all --n 3 print what they printed before
 the second copies of the grid, the facet complement, the mutation chain and
-the tree walk left the package."""
+the tree walk left the package; the schubert and grothendieck verbs print what
+they printed before the family tops became staircase folds."""
 
 import contextlib
 import hashlib
@@ -62,3 +63,14 @@ def test_subword_decompositions_match_golden_digests():
     ]
     for word, p, expected in checked:
         assert digest(["subword", "--word", word, "--perm", p, "--decompose", "--json"]) == expected
+
+
+@pytest.mark.parametrize("verb", ["schubert", "grothendieck"])
+def test_family_verbs_match_golden_digests(verb):
+    checked, differ = 0, []
+    for kind, w, expected in cases(verb):
+        if digest([verb, w, "--json"] + (["--double"] if kind == "double" else [])) != expected:
+            differ.append((kind, w))
+        checked += 1
+    assert checked == 2 * (1 + 2 + 6 + 24) + 120
+    assert differ == []

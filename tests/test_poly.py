@@ -1,5 +1,7 @@
+import functools
 import json
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -307,7 +309,7 @@ def test_x_operators_match_reference(rf, i):
     assert ref_of(poly.demazure(i, f)) == ref_demazure(i, pf)
 
 
-# monomials with every exponent and the degree in -1..1, as binomial_product needs
+# monomials with every exponent and the degree in -1..1, as _times_binomial needs
 unit_exps = st.dictionaries(variables, st.integers(-1, 1), max_size=3).filter(
     lambda exps: abs(sum(exps.values())) <= 1
 )
@@ -318,34 +320,19 @@ def packed(exps):
     return m
 
 
-@KERNEL
-@given(st.lists(st.tuples(unit_exps, unit_exps), max_size=6))
-def test_binomial_product_matches_reference(raw):
-    expected = {(): 1}
-    for a, b in raw:
-        expected = ref_mul(expected, ref_add({ref_canon(a): 1}, {ref_canon(b): 1}, -1))
-    f = poly.binomial_product((packed(a), packed(b)) for a, b in raw)
-    assert ref_of(f) == expected
-    assert f._reach == len(raw)
-
-
-def test_binomial_product_examples():
-    x1, y1, y2 = poly.unit(xvar(1)), poly.unit(yvar(1)), poly.unit(yvar(2))
-    assert poly.binomial_product([]) == ONE
-    assert poly.binomial_product([(x1, x1)]).terms == {}
-    # (x1 - y1)(1 - x1/y2) = x1 - y1 - x1^2/y2 + x1 y1/y2
-    expected = x(1) - LaurentPoly.variable(yvar(1)) - mono(x1=2, y2=-1) + mono(x1=1, y1=1, y2=-1)
-    assert poly.binomial_product([(x1, y1), (0, x1 - y2)]) == expected
-    for pair in [(2 * x1, 0), (0, -2 * y2), (x1 + y1, 0), (0, x1 - 2 * y2), (-x1 - y1, y2)]:
-        with pytest.raises(ValueError):
-            poly.binomial_product([(x1, y1), pair])
-
-
 def test_family_tops_match_the_product_loops():
     for n in range(1, 7):
+        assert poly.schubert_top(n) == LaurentPoly.monomial({xvar(i): n - i for i in range(1, n)})
         assert poly.double_schubert_top(n) == loop_double_schubert_top(n)
         assert poly.grothendieck_top(n) == loop_grothendieck_top(n)
         assert poly.double_grothendieck_top(n) == loop_double_grothendieck_top(n)
+
+
+def test_x_monomial_matches_the_counted_monomial():
+    for w in perm.all_perms(5):
+        for d in pipedream.rp_mitosis(w):
+            expected = LaurentPoly.monomial(Counter(xvar(i) for i, _ in d.crosses))
+            assert checks.x_monomial(d) == expected
 
 
 def test_xy_weight_matches_the_product_loop():
@@ -363,12 +350,13 @@ def test_xy_weight_matches_the_product_loop():
 )
 def test_results_store_no_zero_coefficient(rf, rg, i, raw_pairs):
     f, g = build(rf), build(rg)
+    pairs = [(packed(a), packed(b)) for a, b in raw_pairs]
     results = [
         f + g, f - g, f + (-f), f - f, f * g, (f + g) * (f - g), f * 0, 0 * f, f * 3,
         poly.divided_difference(i, f), poly.demazure(i, f), swap_x(f, i),
         poly.divided_difference(i, f * swap_x(f, i)), poly.demazure(i, f + swap_x(f, i)),
         LaurentPoly.const(0), LaurentPoly.monomial({xvar(i): 1}, 0), LaurentPoly({1: 0, 2: 3}),
-        poly.binomial_product((packed(a), packed(b)) for a, b in raw_pairs),
+        functools.reduce(lambda h, pair: poly._times_binomial(h, *pair), pairs, ONE),
     ]
     for h in results:
         assert 0 not in h.terms.values()
@@ -564,8 +552,6 @@ def test_overflow_at_the_field_limit():
     with pytest.raises(OverflowError):
         poly.demazure(1, LaurentPoly.monomial({xvar(2): top}))  # x2 * f, as the two-step route
     assert len(poly.demazure(1, LaurentPoly.monomial({xvar(2): top - 1})).terms) == top
-    with pytest.raises(OverflowError):
-        poly.binomial_product([(0, poly.unit(xvar(1)))] * 2**15)  # reach: one per factor
     with pytest.raises(OverflowError):
         LaurentPoly.monomial({xvar(1): 2**13}).subs_monomial({xvar(1): {xvar(2): 4}})
     with pytest.raises(OverflowError):

@@ -153,24 +153,23 @@ def test_family_and_bjs_products(monkeypatch):
     # of every reduced pipe dream of S5.  With per-factor products for the
     # tops and the weights and a Demazure operator that multiplied by x_{i+1}
     # first, this made 2029 LaurentPoly.__mul__ calls on 56,546 term pairs
-    # (271 calls, 22,408 pairs in the families); now the tops and weights are
-    # binomial expansions and the Demazure operator is one pass.
+    # (271 calls, 22,408 pairs in the families); now every top and weight is
+    # a fold of one-pass binomial steps and the Demazure operator is one pass.
     for name in ("_schubert", "_double_schubert", "_grothendieck", "_double_grothendieck"):
         getattr(poly, name).cache_clear()
-    pairs, factors = [], []
-    mul, expand = LaurentPoly.__mul__, poly.binomial_product
+    pairs, steps = [], []
+    mul, step = LaurentPoly.__mul__, poly._times_binomial
 
     def counting_mul(self, other):
         pairs.append(len(self.terms) * (len(other.terms) if isinstance(other, LaurentPoly) else 1))
         return mul(self, other)
 
-    def counting_expand(binomials):
-        binomials = list(binomials)
-        factors.append(len(binomials))
-        return expand(binomials)
+    def counting_step(*args):
+        steps.append(args[1:])
+        return step(*args)
 
     monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
-    monkeypatch.setattr(poly, "binomial_product", counting_expand)
+    monkeypatch.setattr(poly, "_times_binomial", counting_step)
     families = (poly.schubert, poly.double_schubert, poly.grothendieck, poly.double_grothendieck)
     for w in perm.all_perms(5):
         for family in families:
@@ -178,8 +177,8 @@ def test_family_and_bjs_products(monkeypatch):
         for d in pipedream.rp_mitosis(w):
             checks.xy_weight(d)
     assert (len(pairs), sum(pairs)) == (0, 0)
-    # three tops of 10 factors each, and one factor per cross of the 393 dreams
-    assert (len(factors), sum(factors)) == (3 + 393, 30 + 1758)
+    # four tops of 10 staircase cells each, and one step per cross of the 393 dreams
+    assert len(steps) == 4 * 10 + 1758
 
 
 def test_families_step_at_the_first_ascent(monkeypatch):
@@ -231,6 +230,16 @@ def test_rp_mitosis_calls(monkeypatch):
     assert sweep(5) == 0  # warm
     clear_pipedream_caches()
     assert sweep(5) == 243
+
+
+def test_bridge_calls_mitosis_once_per_dream(monkeypatch):
+    # one mitosis call per facet complement of J_w over the 36 covering pairs
+    # of S4; comparing the offspring and then taking their union apart made 124
+    calls = []
+    mitosis = pipedream.mitosis
+    monkeypatch.setattr(pipedream, "mitosis", lambda i, d: calls.append(d) or mitosis(i, d))
+    assert checks.bridge_s4() == (True, "36 covering pairs")
+    assert len(calls) == 62
 
 
 def test_descent_guard_is_constant_time(monkeypatch):
