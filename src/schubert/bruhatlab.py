@@ -20,10 +20,9 @@ odd box; introns are the full-column blocks between consecutive exons, sharing
 their boundary boxes with the exons.  Intron mutation pushes each intron's
 entries toward row-sum balance, after temporarily adding 1 to both codons so
 every intron has nonzero northwest and southeast corners.  It reads and
-rebuilds only the two gene rows: one scan finds the exons, each intron moves
-its whole imbalance column by column, and the other n-2 row tuples are
-shared with the input.  ``dissect_gene`` spells the blocks out for the
-figure check.
+rebuilds only the two gene rows: one scan finds the introns, each intron
+moves its whole imbalance column by column, and the other n-2 row tuples
+are shared with the input.  The figure check reads the same scan.
 """
 
 from __future__ import annotations
@@ -220,41 +219,7 @@ def _rows_on(bits: int, n: int, max_entry: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(*(entries if bits >> j & 1 else (0,) for j in range(n))))
 
 
-# -- gene dissection ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeneDissection:
-    intron_columns: tuple                 # (first, last) column per intron
-    exon_boxes: tuple                     # (first, last) box index per exon
-
-
-def dissect_gene(i: int, start: int, b: ExponentArray) -> GeneDissection:
-    """Dissection for a given start codon column (independent of any w).
-
-    Blocks are located on the array with 1 added to both codons, so intron
-    corners are nonzero; adjacent exon/intron blocks share boundary boxes.
-    """
-    n = b.n
-    top, bottom = b.rows[i - 1], b.rows[i]
-    boxes = []  # boxes[k - 1] is the entry in box k
-    for c in range(start - 1, n):
-        boxes += (top[c], bottom[c])
-    boxes[0] += 1
-    boxes[-1] += 1
-    nonzero = [k for k, v in enumerate(boxes, start=1) if v]
-    exons = []
-    for a, c in zip(nonzero, nonzero[1:]):
-        if a % 2 == 0 and c % 2 == 1:
-            exons.append((a, c))
-    intron_starts = [1] + [c for (_, c) in exons]
-    intron_ends = [a for (a, _) in exons] + [len(boxes)]
-    introns = []
-    for o, e in zip(intron_starts, intron_ends):
-        col_lo = start + (o - 1) // 2
-        col_hi = start + e // 2 - 1
-        introns.append((col_lo, col_hi))
-    return GeneDissection(intron_columns=tuple(introns), exon_boxes=tuple(exons))
+# -- intron mutation -----------------------------------------------------------
 
 
 def _balance_intron(top: list[int], bottom: list[int], lo: int, hi: int, d: int) -> None:
@@ -293,26 +258,33 @@ def intron_mutation_at(i: int, start: int, b: ExponentArray) -> ExponentArray:
     top, bottom = list(b.rows[i - 1]), list(b.rows[i])
     top[start - 1] += 1
     bottom[n - 1] += 1
-    # one scan west to east; the open intron starts at column lo and its row
-    # sums so far are up and down
-    lo, up, down = start - 1, 0, 0
+    for lo, hi, d in _introns(top, bottom, start):
+        if d:
+            _balance_intron(top, bottom, lo, hi, d)
+    top[start - 1] -= 1
+    bottom[n - 1] -= 1
+    return _with_gene(b, i, top, bottom)
+
+
+def _introns(top: Sequence[int], bottom: Sequence[int], start: int) -> list:
+    """The introns of a gene with marked codons, west to east, as (lo, hi, d):
+    0-based columns lo..hi and d = (bottom sum) - (top sum).  An exon ends at
+    a nonzero top box whose last nonzero predecessor is a bottom box."""
+    out = []
+    lo, up, down = start - 1, 0, 0  # the open intron and its row sums so far
     after_bottom = -1  # column of the last nonzero box when it is a bottom box
-    for c in range(start - 1, n):
+    for c in range(start - 1, len(top)):
         if top[c]:
-            if after_bottom >= 0:  # an exon ends here: close the intron
-                if up != down:
-                    _balance_intron(top, bottom, lo, after_bottom, down - up)
+            if after_bottom >= 0:
+                out.append((lo, after_bottom, down - up))
                 lo, up, down = c, 0, 0
             after_bottom = -1
             up += top[c]
         if bottom[c]:
             after_bottom = c
             down += bottom[c]
-    if up != down:
-        _balance_intron(top, bottom, lo, n - 1, down - up)
-    top[start - 1] -= 1
-    bottom[n - 1] -= 1
-    return _with_gene(b, i, top, bottom)
+    out.append((lo, len(top) - 1, down - up))
+    return out
 
 
 # -- bridge to mitosis on facets ------------------------------------------------

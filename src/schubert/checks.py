@@ -337,17 +337,26 @@ FIG_INTRON_OUT_I = (0, 0, 0, 7, 4, 0, 1, 0, 7, 0, 3, 7, 0, 0, 0, 0, 0, 0, 0, 1)
 FIG_INTRON_OUT_I1 = (2, 0, 3, 0, 0, 0, 4, 3, 4, 0, 0, 1, 6, 0, 7, 1, 4, 0, 0, 4)
 
 
+def gene_blocks(top, bottom, start: int) -> tuple[tuple, tuple]:
+    """The (first, last) columns of each intron and boxes of each exon of a
+    gene, read off the scan that intron mutation runs: exon k is the bridge
+    from box 2(hi_k - start) + 2 to box 2(lo_{k+1} - start) + 1."""
+    top, bottom = list(top), list(bottom)
+    top[start - 1] += 1
+    bottom[-1] += 1
+    introns = tuple((lo + 1, hi + 1) for lo, hi, _ in bruhatlab._introns(top, bottom, start))
+    bridges = zip(introns, introns[1:])
+    exons = tuple((2 * (hi - start) + 2, 2 * (lo - start) + 1) for (_, hi), (lo, _) in bridges)
+    return introns, exons
+
+
 def figure_intron() -> tuple[bool, str]:
-    n = 20
-    rows = [[0] * n for _ in range(n)]
-    rows[0] = list(FIG_INTRON_ROW_I)
-    rows[1] = list(FIG_INTRON_ROW_I1)
-    b = ExponentArray.from_rows(rows)
-    dissection = bruhatlab.dissect_gene(1, 4, b)
-    if dissection.intron_columns != ((4, 8), (9, 9), (11, 17), (20, 20)):
-        return False, f"introns {dissection.intron_columns}"
-    if dissection.exon_boxes != ((10, 11), (12, 15), (28, 33)):
-        return False, f"exons {dissection.exon_boxes}"
+    b = ExponentArray.from_rows((FIG_INTRON_ROW_I, FIG_INTRON_ROW_I1) + ((0,) * 20,) * 18)
+    introns, exons = gene_blocks(FIG_INTRON_ROW_I, FIG_INTRON_ROW_I1, 4)
+    if introns != ((4, 8), (9, 9), (11, 17), (20, 20)):
+        return False, f"introns {introns}"
+    if exons != ((10, 11), (12, 15), (28, 33)):
+        return False, f"exons {exons}"
     out = bruhatlab.intron_mutation_at(1, 4, b)
     if out.rows[0] != FIG_INTRON_OUT_I or out.rows[1] != FIG_INTRON_OUT_I1:
         return False, "mutated gene differs from the figure"

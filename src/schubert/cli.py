@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import checks, grobner, hilbert, ideal, perm, pipedream, poly, subword
-from .limits import InvariantError, SizeGuardError
+from .limits import InvariantError, SizeGuardError, size_guard
 from .perm import Perm
 
 
@@ -162,6 +162,7 @@ def cmd_subword(args) -> int:
     word = parse_word(args.word)
     pi = parse_permutation(args.perm)
     n = max(len(pi), max(word, default=0) + 1)
+    size_guard(n, 10, "subword")
     cox = subword.symmetric_group(n)
     delta = subword.subword_complex(word, perm.embed(pi, n), cox)
     payload: dict = {"facets": delta.facets_sorted()}

@@ -324,12 +324,8 @@ class _Basis:
             if hit is None:
                 break
             gk, ge, gc = heads[hit]
-            if hc % gc == 0:
-                scale, factor = 1, hc // gc
-            else:
-                l = abs(hc * gc) // gcd(hc, gc)
-                scale = l // abs(hc)
-                factor = (scale * hc) // gc
+            scale = abs(gc) // gcd(hc, gc)
+            factor = scale * hc // gc
             if scale != 1:
                 h = {k: c * scale for k, c in h.items()}
             self._add_multiple(h, hit, hk - gk, he - ge, -factor)

@@ -250,11 +250,6 @@ class LaurentPoly:
             return _bounded(_nonzero({m: c * other for m, c in self.terms.items()}), self._reach)
         reach = _product_reach(self, other)
         p, q = self.terms, other.terms
-        if len(p) == 1:
-            p, q = q, p
-        if len(q) == 1:  # a shift: distinct keys stay distinct
-            ((m2, c2),) = q.items()
-            return _bounded({m1 + m2: c1 * c2 for m1, c1 in p.items()}, reach)
         out: dict = {}
         get = out.get
         for m1, c1 in p.items():
@@ -505,7 +500,9 @@ _double_grothendieck = perm.weak_order_family(double_grothendieck_top, demazure)
 
 def schubert(w: Sequence[int]) -> LaurentPoly:
     """The Schubert polynomial of w."""
-    return _schubert(perm.validate(w))
+    w = perm.validate(w)
+    size_guard(len(w), 11, "schubert")
+    return _schubert(w)
 
 
 def double_schubert(w: Sequence[int]) -> LaurentPoly:

@@ -7,7 +7,7 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="run the slow sweeps (Groebner verification of all of S6 and the 165-minor "
-        "instance, Theorem A on all of S6)",
+        "instance, Theorem A on all of S6, tau_involution(4, 1) on all of S4)",
     )
 
 

@@ -38,6 +38,9 @@ is the facet search schubert.subword made before it peeled right descents:
 left to right, keeping the partial products that are weak-order prefixes of
 pi.
 
+``ref_dissect_gene`` is the box-by-box gene dissection schubert.bruhatlab
+made before its introns came from the scan that mutates them.
+
 ``ref_decompose`` is the vertex decomposition schubert.subword made before
 it tested containment only where a link can be void: it tests every node and
 carries the vertex labels of the shortened word.  ``ref_is_shelling`` is the
@@ -320,6 +323,29 @@ def ref_is_shelling(order, facets) -> bool:
         if any(len(s) != len(f) - 1 for s in faces if not any(s < t for t in faces)):
             return False
     return True
+
+
+# -- the gene read box by box ---------------------------------------------------
+
+
+def ref_dissect_gene(top, bottom, start: int) -> tuple[tuple, tuple]:
+    """The (first, last) columns of each intron and boxes of each exon of the
+    gene with rows top and bottom and start codon in column start (1-based).
+
+    Blocks are located with 1 added to both codons, so intron corners are
+    nonzero; adjacent exon/intron blocks share boundary boxes."""
+    boxes = []  # boxes[k - 1] is the entry in box k
+    for c in range(start - 1, len(top)):
+        boxes += (top[c], bottom[c])
+    boxes[0] += 1
+    boxes[-1] += 1
+    nonzero = [k for k, v in enumerate(boxes, start=1) if v]
+    exons = [(a, c) for a, c in zip(nonzero, nonzero[1:]) if a % 2 == 0 and c % 2 == 1]
+    intron_starts = [1] + [c for (_, c) in exons]
+    intron_ends = [a for (a, _) in exons] + [len(boxes)]
+    blocks = zip(intron_starts, intron_ends)
+    introns = [(start + (o - 1) // 2, start + e // 2 - 1) for o, e in blocks]
+    return tuple(introns), tuple(exons)
 
 
 # -- monomials as exponent tuples, for the Groebner oracles ---------------------------

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reference_kernel import swap_x
+from reference_kernel import ref_dissect_gene, swap_x
 from schubert import bruhatlab, checks, ideal, perm, poly
 from schubert.bruhatlab import ExponentArray
 from schubert.limits import SizeGuardError
@@ -298,8 +298,34 @@ def test_standard_arrays_check_their_input_at_the_call(monkeypatch):
 
 # -- the gene-only kernel against the dissection ------------------------------------
 #
-# The reference locates the introns with dissect_gene on the whole array and
+# The reference locates the introns box by box with ref_dissect_gene and
 # moves one unit at a time, as the paper describes intron mutation.
+
+
+def assert_blocks_match_reference(top, bottom):
+    for start in range(1, len(top) + 1):
+        assert checks.gene_blocks(top, bottom, start) == ref_dissect_gene(top, bottom, start)
+
+
+def test_scan_dissection_matches_reference_small():
+    # every gene of a 2 x 2 or 3 x 3 array with entries 0..2, at every start
+    # column: the dissection reads rows i and i+1 only
+    for n in (2, 3):
+        rows = list(itertools.product(range(3), repeat=n))
+        for top, bottom in itertools.product(rows, repeat=2):
+            assert_blocks_match_reference(top, bottom)
+
+
+def test_scan_dissection_matches_reference_random():
+    # seeded genes up to 8 columns wide, sparse and dense
+    rng = random.Random(18)
+    for _ in range(5000):
+        n = rng.randint(2, 8)
+        zeros = rng.random()
+        top, bottom = (
+            [0 if rng.random() < zeros else rng.randint(1, 3) for _ in range(n)] for _ in range(2)
+        )
+        assert_blocks_match_reference(top, bottom)
 
 
 def reference_mutate_intron(top, bottom):
@@ -317,11 +343,11 @@ def reference_mutate_intron(top, bottom):
 
 def reference_intron_mutation_at(i, start, b):
     # the rows of the mutated array
-    dissection = bruhatlab.dissect_gene(i, start, b)
+    introns, _ = ref_dissect_gene(b.rows[i - 1], b.rows[i], start)
     rows = [list(r) for r in b.rows]
     rows[i - 1][start - 1] += 1
     rows[i][b.n - 1] += 1
-    for (lo, hi) in dissection.intron_columns:
+    for (lo, hi) in introns:
         top, bottom = reference_mutate_intron(rows[i - 1][lo - 1 : hi], rows[i][lo - 1 : hi])
         rows[i - 1][lo - 1 : hi] = top
         rows[i][lo - 1 : hi] = bottom

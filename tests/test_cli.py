@@ -248,6 +248,26 @@ def test_grothendieck_past_size_guard_exits_2(capsys, monkeypatch):
     assert err == "error: grothendieck: n=9 exceeds cap 8 (set SCHUBERT_MAX_N to override)\n"
 
 
+@pytest.mark.parametrize("n", [12, 50])
+def test_schubert_past_size_guard_exits_2(capsys, monkeypatch, n):
+    # unguarded, seeded random w took 3.3 s at n = 12 and 33 s at n = 13, and
+    # the identity of S50 overran the recursion limit
+    w = "[" + ",".join(map(str, range(1, n + 1))) + "]"
+    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+    code, out, err = run(capsys, "schubert", w)
+    assert (code, out) == (2, "")
+    assert err == f"error: schubert: n={n} exceeds cap 11 (set SCHUBERT_MAX_N to override)\n"
+
+
+def test_subword_rank_past_size_guard_exits_2(capsys, monkeypatch):
+    # the rank is the largest letter + 1; unguarded, this word built a
+    # 10^8-entry identity permutation
+    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+    code, out, err = run(capsys, "subword", "--word", "99999999", "--perm", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: subword: n=100000000 exceeds cap 10 (set SCHUBERT_MAX_N to override)\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "", "4.5"])
 def test_malformed_max_n_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("SCHUBERT_MAX_N", value)

@@ -373,6 +373,27 @@ def test_remainders_match_reference_s4():
                 assert rem == grobner.strip_content(ref, order)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_remainders_match_reference_random(n):
+    # exact remainders where a leading coefficient need not divide the
+    # term's: the term is scaled by |gc| / gcd(hc, gc) before the element is
+    # subtracted; the first step of some reductions is such a case
+    rng = random.Random(18 + n)
+    orders = [antidiag_revlex_nw(n), antidiag_lex_ne(n), diag_lex(n)]
+    scaled = 0
+    for _ in range(150):
+        f, *gens = _random_polys(rng, n)
+        for order in orders:
+            rem = grobner.top_reduce(f, gens, order)
+            ref = _ref_remainder(f, gens, order)
+            assert grobner.strip_content(rem, order) == grobner.strip_content(ref, order), (f, gens)
+            hm, hc = initial_term(f, order)
+            leads = [initial_term(g, order) for g in gens]
+            gc = next((gc for gm, gc in leads if mono_divides(gm, hm)), None)
+            scaled += gc is not None and hc % gc != 0
+    assert scaled > 0
+
+
 def test_exponent_past_packing_limit():
     big = {(1 << 15, 0, 0, 0): 1}
     with pytest.raises(OverflowError):
