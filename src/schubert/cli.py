@@ -77,6 +77,7 @@ def parse_dream(text: str) -> pipedream.PipeDream:
 
 def cmd_mitosis(args) -> int:
     dream = parse_dream(args.dream)
+    size_guard(dream.n, 8, "mitosis")
     if not 1 <= args.row < dream.n:
         raise UsageError(f"--row {args.row} is not in 1..{dream.n - 1}")
     _emit_dreams(pipedream.mitosis(args.row, dream), args)

@@ -148,9 +148,8 @@ def multidegree_additive(
     vertices = ideal_mod.grid(n)
     terms: dict = {}
     for f in facets:
-        for m, c in weight_product(vertices.difference(f), grading).terms.items():
-            terms[m] = terms.get(m, 0) + c
-    return LaurentPoly(terms)
+        poly._add(terms, weight_product(vertices.difference(f), grading).terms, 0, 1)
+    return poly._bounded(terms, None)
 
 
 def theorem_a_check(w: Perm) -> bool:

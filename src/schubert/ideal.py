@@ -91,6 +91,7 @@ def schubert_generators(w: Perm) -> frozenset:
     """
     w = perm.validate(w)
     n = len(w)
+    size_guard(n, 11, "schubert_generators")
     # padded south and east with a rank that no position has
     ranks = [(*row, n + 1) for row in perm.rank_matrix(w)] + [(n + 1,) * (n + 1)]
     levels = {ranks[q - 1][p - 1] for (q, p) in essential_cells(w)}

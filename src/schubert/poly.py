@@ -19,9 +19,11 @@ and ``subs_poly`` decode.
 
 Each kernel makes one pass and fills one term dict, which ``_bounded`` hands
 to the result without a copy: the kernel guarantees that it holds no zero
-coefficient.  The divided difference d_i and the Demazure operator are one
-operator on the x block, sign * d_i(x_{i+1}^lift f), with (lift, sign) =
-(0, +1) and (1, -1), computed term by term from the closed form
+coefficient.  Sums, products, ``subs_poly`` and the pivot steps accumulate
+by one kernel, ``_add``, which deletes each coefficient that cancels.  The
+divided difference d_i and the Demazure operator are one operator on the
+x block, sign * d_i(x_{i+1}^lift f), with (lift, sign) = (0, +1) and
+(1, -1), computed term by term from the closed form
 
     (u^a v^b - u^b v^a) / (u - v) = sum_{k=min}^{max-1} u^k v^{a+b-1-k}
 
@@ -194,16 +196,23 @@ def _nonzero(terms: dict) -> dict:
     return terms if all(terms.values()) else {m: c for m, c in terms.items() if c}
 
 
-def _combine(f: "LaurentPoly", g: "LaurentPoly", sign: int) -> "LaurentPoly":
-    """f + sign * g, deleting cancelled terms in place."""
-    out = dict(f.terms)
+def _add(out: dict, terms: Mapping[Monomial, int], shift: Monomial, scale: int) -> None:
+    """out += scale * x^shift * terms in place, deleting each coefficient
+    that cancels, so out never holds a zero."""
     get = out.get
-    for m, c in g.terms.items():
-        c = get(m, 0) + sign * c
+    for m, c in terms.items():
+        m += shift
+        c = get(m, 0) + scale * c
         if c:
             out[m] = c
         else:
             del out[m]
+
+
+def _combine(f: "LaurentPoly", g: "LaurentPoly", sign: int) -> "LaurentPoly":
+    """f + sign * g."""
+    out = dict(f.terms)
+    _add(out, g.terms, 0, sign)
     return _bounded(out, None if None in (f._reach, g._reach) else max(f._reach, g._reach))
 
 
@@ -249,14 +258,10 @@ class LaurentPoly:
         if isinstance(other, int):
             return _bounded(_nonzero({m: c * other for m, c in self.terms.items()}), self._reach)
         reach = _product_reach(self, other)
-        p, q = self.terms, other.terms
         out: dict = {}
-        get = out.get
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                key = m1 + m2
-                out[key] = get(key, 0) + c1 * c2
-        return _bounded(_nonzero(out), reach)
+        for m, c in self.terms.items():
+            _add(out, other.terms, m, c)
+        return _bounded(out, reach)
 
     __rmul__ = __mul__
 
@@ -355,9 +360,8 @@ class LaurentPoly:
                 if e < 0:
                     raise ValueError(f"negative exponent on {v} under polynomial substitution")
                 acc = acc * mapping[v] ** e
-            for key, term in acc.terms.items():
-                out[key] = out.get(key, 0) + term
-        return LaurentPoly(out)
+            _add(out, acc.terms, 0, 1)
+        return _bounded(out, None)
 
 
 ZERO = LaurentPoly.const(0)
@@ -423,14 +427,7 @@ def _times_binomial(f: LaurentPoly, a: Monomial, b: Monomial | None = None) -> L
     reach = _fit(f, a) if b is None else _fit(f, a, b)
     out = {m + a: c for m, c in f.terms.items()}  # a shift: no two keys meet
     if b is not None:
-        get = out.get
-        for m, c in f.terms.items():
-            key = m + b
-            c = get(key, 0) - c
-            if c:
-                out[key] = c
-            else:
-                del out[key]
+        _add(out, f.terms, b, -1)
     return _bounded(out, reach)
 
 
@@ -439,21 +436,8 @@ def _koszul(p: LaurentPoly, q: LaurentPoly, wt: Monomial) -> LaurentPoly:
     and q; every exponent and degree of wt lies in -1..1."""
     reach = max(_fit(p, 0, wt), _fit(q, wt))
     out = dict(p.terms)
-    get = out.get
-    for m, c in p.terms.items():
-        key = m + wt
-        c = get(key, 0) - c
-        if c:
-            out[key] = c
-        else:
-            del out[key]
-    for m, c in q.terms.items():
-        key = m + wt
-        c = get(key, 0) + c
-        if c:
-            out[key] = c
-        else:
-            del out[key]
+    _add(out, p.terms, wt, -1)
+    _add(out, q.terms, wt, 1)
     return _bounded(out, reach)
 
 

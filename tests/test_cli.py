@@ -268,6 +268,26 @@ def test_subword_rank_past_size_guard_exits_2(capsys, monkeypatch):
     assert err == "error: subword: n=100000000 exceeds cap 10 (set SCHUBERT_MAX_N to override)\n"
 
 
+def test_ideal_past_size_guard_exits_2(capsys, monkeypatch):
+    # one essential box at (8, 8) of rank 3: unguarded, minimalizing the
+    # 89,964 same-size minors did not finish in 300 s
+    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+    code, out, err = run(capsys, "ideal", "[1,2,3,4,11,12,13,14,15,16,10,5,6,7,8,9]")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: schubert_generators: n=16 exceeds cap 11 (set SCHUBERT_MAX_N to override)\n"
+    )
+
+
+def test_mitosis_past_size_guard_exits_2(capsys, monkeypatch):
+    # unguarded, --render printed an n x n grid: 11.2 s and 128 MB at n = 8000
+    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+    dream = '{"n":100000,"crosses":[[1,1]]}'
+    code, out, err = run(capsys, "mitosis", "--row", "1", "--dream", dream, "--render")
+    assert (code, out) == (2, "")
+    assert err == "error: mitosis: n=100000 exceeds cap 8 (set SCHUBERT_MAX_N to override)\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "", "4.5"])
 def test_malformed_max_n_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("SCHUBERT_MAX_N", value)

@@ -347,9 +347,10 @@ def test_xy_weight_matches_the_product_loop():
     raw_polys(),
     st.integers(1, MAX_INDEX - 1),
     st.lists(st.tuples(unit_exps, unit_exps), max_size=4),
+    raw_polys(lo=0),
 )
-def test_results_store_no_zero_coefficient(rf, rg, i, raw_pairs):
-    f, g = build(rf), build(rg)
+def test_results_store_no_zero_coefficient(rf, rg, i, raw_pairs, rn):
+    f, g, nonneg = build(rf), build(rg), build(rn)
     pairs = [(packed(a), packed(b)) for a, b in raw_pairs]
     results = [
         f + g, f - g, f + (-f), f - f, f * g, (f + g) * (f - g), f * 0, 0 * f, f * 3,
@@ -357,6 +358,9 @@ def test_results_store_no_zero_coefficient(rf, rg, i, raw_pairs):
         poly.divided_difference(i, f * swap_x(f, i)), poly.demazure(i, f + swap_x(f, i)),
         LaurentPoly.const(0), LaurentPoly.monomial({xvar(i): 1}, 0), LaurentPoly({1: 0, 2: 3}),
         functools.reduce(lambda h, pair: poly._times_binomial(h, *pair), pairs, ONE),
+        nonneg.subs_poly({xvar(i): f - g}),
+        # x_i -> x_{i+1} makes nonneg and s_i nonneg equal, so every term cancels
+        (nonneg - swap_x(nonneg, i)).subs_poly({xvar(i): LaurentPoly.variable(xvar(i + 1))}),
     ]
     for h in results:
         assert 0 not in h.terms.values()
@@ -419,9 +423,9 @@ def test_subs_monomial_keeps_no_exact_route():
 @given(raw_polys(), unit_exps, st.one_of(st.none(), unit_exps))
 def test_times_binomial_matches_the_product(rf, a, b):
     f = build(rf)
-    factor = LaurentPoly.monomial(a) - (poly.ZERO if b is None else LaurentPoly.monomial(b))
     got = poly._times_binomial(f, packed(a), None if b is None else packed(b))
-    assert got.terms == (f * factor).terms
+    factor = {ref_canon(a): 1} if b is None else ref_add({ref_canon(a): 1}, {ref_canon(b): 1}, -1)
+    assert ref_of(got) == ref_mul(ref_build(rf), factor)
     assert 0 not in got.terms.values()
     assert got._reach == poly._reach(f) + 1
 
@@ -430,9 +434,10 @@ def test_times_binomial_matches_the_product(rf, a, b):
 @given(raw_polys(), raw_polys(), unit_exps)
 def test_koszul_matches_the_product_and_sum(rp, rq, wt):
     p, q = build(rp), build(rq)
-    weight = LaurentPoly.monomial(wt)
     got = poly._koszul(p, q, packed(wt))
-    assert got.terms == poly._combine((ONE - weight) * p, weight * q, 1).terms
+    weight = {ref_canon(wt): 1}
+    one_minus = ref_add({(): 1}, weight, -1)
+    assert ref_of(got) == ref_add(ref_mul(one_minus, ref_build(rp)), ref_mul(weight, ref_build(rq)))
     assert 0 not in got.terms.values()
     assert got._reach == max(poly._reach(p), poly._reach(q)) + 1
 
