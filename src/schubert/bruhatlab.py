@@ -173,9 +173,7 @@ def lifted_demazure(i: int, w: Perm, b: ExponentArray) -> list[ExponentArray]:
     """[b, mu_i(b), ..., mu_i^{|prom|}(b)] for length(w s_i) < length(w)."""
     w = perm.validate(w)
     perm.descend(w, i)  # ValueError unless i is a right descent of w
-    if not standard_test(b, w):
-        raise ValueError("z^b must be standard for J_w")
-    out = [b]
+    out = [b]  # promoter_size raises ValueError unless z^b is standard
     for _ in range(promoter_size(i, w, b)):
         out.append(mutate(i, out[-1]))
     return out
@@ -244,9 +242,10 @@ def _balance_intron(top: list[int], bottom: list[int], lo: int, hi: int, d: int)
 def intron_mutation(i: int, w: Perm, b: ExponentArray) -> ExponentArray:
     """The involution tau: add 1 to the codons, mutate every intron toward
     row-sum balance, then subtract the 1s."""
-    if not standard_test(b, w):
+    start = start_codon(i, w, b)
+    if start == 0:
         raise ValueError("z^b must be standard for J_w")
-    out = intron_mutation_at(i, start_codon(i, w, b), b)
+    out = intron_mutation_at(i, start, b)
     if not standard_test(out, w):
         raise InvariantError(f"intron mutation left the standard monomials of J_{w}")
     return out

@@ -85,7 +85,7 @@ def theorem_b(n: int = 4) -> tuple[bool, str]:
     orders = [grobner.antidiag_revlex_nw(n), grobner.antidiag_lex_ne(n)]
     for w in perm.all_perms(n):
         for order in orders:
-            if not grobner.verify_theorem_b(w, order):
+            if not grobner.verify_theorem_b(w, order, max_n=n):
                 return False, f"{w} under {order.name}"
     # negative control: the diagonal order does not see a Groebner basis
     gens = [
@@ -98,11 +98,9 @@ def theorem_b(n: int = 4) -> tuple[bool, str]:
 
 
 def theorem_b_slow() -> tuple[bool, str]:
-    orders = (grobner.antidiag_revlex_nw(6), grobner.antidiag_lex_ne(6))
-    for w in perm.all_perms(6):
-        for order in orders:
-            if not grobner.verify_theorem_b(w, order, max_n=6):
-                return False, f"{w} under {order.name}"
+    ok, detail = theorem_b(6)
+    if not ok:
+        return False, detail
     big = perm.parse("13865742")
     minors = ideal.schubert_generators(big)
     if len(minors) != 165:
@@ -172,13 +170,6 @@ def theorem_a(n: int = 4) -> tuple[bool, str]:
             if additive != hilbert.multidegree_of_ideal(jw, grading):
                 return False, f"additive route differs at {w} ({grading})"
     return True, f"S{n}, both gradings, both routes"
-
-
-def theorem_a_slow() -> tuple[bool, str]:
-    for w in perm.all_perms(6):
-        if not hilbert.theorem_a_check(w):
-            return False, f"theorem A fails at {w}"
-    return True, "all 720 w in S6"
 
 
 # -- criterion 7: the divided-difference identity ----------------------------------
@@ -367,13 +358,11 @@ def figure_intron() -> tuple[bool, str]:
 
 
 def part3_suites() -> tuple[bool, str]:
-    for fn in (tau_involution, thm_ev_truncated, bridge_s4, figure_mu, figure_intron):
+    for fn in (tau_involution, thm_ev_truncated, bridge_s4, figure_mu, figure_intron,
+               mitosis_correspondence_13865742):
         ok, detail = fn()
         if not ok:
             return False, f"{fn.__name__}: {detail}"
-    ok, detail = mitosis_correspondence_13865742()
-    if not ok:
-        return False, detail
     return True, "tau, thm-ev, bridge, figures"
 
 
@@ -438,5 +427,5 @@ def run_all(n: int = 4, slow: bool = False) -> list[tuple[str, bool, str]]:
     run("stability", stability)
     if slow:
         run("theorem-b-slow", theorem_b_slow)
-        run("theorem-a-s6", theorem_a_slow)
+        run("theorem-a-s6", theorem_a, 6)
     return results

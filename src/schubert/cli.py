@@ -78,6 +78,8 @@ def parse_dream(text: str) -> pipedream.PipeDream:
 def cmd_mitosis(args) -> int:
     dream = parse_dream(args.dream)
     size_guard(dream.n, 8, "mitosis")
+    if dream.n < 2:
+        raise UsageError(f"--row {args.row}: a dream with n = {dream.n} has no row to mutate")
     if not 1 <= args.row < dream.n:
         raise UsageError(f"--row {args.row} is not in 1..{dream.n - 1}")
     _emit_dreams(pipedream.mitosis(args.row, dream), args)
@@ -114,16 +116,14 @@ def cmd_gb_verify(args) -> int:
     if args.all_s4 == (args.permutation is not None):
         raise UsageError("gb-verify needs exactly one of a permutation and --all-s4")
     perms = list(perm.all_perms(4)) if args.all_s4 else [parse_permutation(args.permutation)]
+    order = grobner.TERM_ORDERS[args.order](len(perms[0]))  # one n per run
+    if not order.antidiagonal:
+        raise UsageError(f"gb-verify needs an antidiagonal order, not {args.order!r}")
     results = []
-    ok = True
     for w in perms:
-        order = grobner.TERM_ORDERS[args.order](len(w))
-        if not order.antidiagonal:
-            raise UsageError(f"gb-verify needs an antidiagonal order, not {args.order!r}")
         t0 = time.perf_counter()
         passed = grobner.verify_theorem_b(w, order)
         dt = time.perf_counter() - t0
-        ok = ok and passed
         results.append(
             {
                 "permutation": list(w),
@@ -142,7 +142,7 @@ def cmd_gb_verify(args) -> int:
                 f"{status} {''.join(map(str, r['permutation']))} {r['order']}"
                 f" gens={r['generators']} t={r['seconds']}s"
             )
-    return 0 if ok else 1
+    return 0 if all(r["pass"] for r in results) else 1
 
 
 def cmd_invariant(args) -> int:
@@ -161,6 +161,7 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 def cmd_subword(args) -> int:
     word = parse_word(args.word)
+    size_guard(len(word), 40, "subword word")  # the facet search is exponential in it
     pi = parse_permutation(args.perm)
     n = max(len(pi), max(word, default=0) + 1)
     size_guard(n, 10, "subword")

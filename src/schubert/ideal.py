@@ -160,10 +160,8 @@ def stanley_reisner_facets(ideal: SquarefreeMonomialIdeal) -> frozenset:
     """
     size_guard(ideal.n, 6, "stanley_reisner_facets")
     vertices = grid(ideal.n)
-    if not ideal.generators:
-        return frozenset([vertices])
-    covers = minimal_covers(ideal.generators)
-    return frozenset(vertices - c for c in covers)
+    # no generators: the one minimal cover is empty, the one facet the grid
+    return frozenset(vertices - c for c in minimal_covers(ideal.generators))
 
 
 def facet_complement_dreams(w: Perm) -> frozenset:

@@ -53,6 +53,8 @@ class PipeDream:
         n, cells = data["n"], [tuple(c) for c in data["crosses"]]
         if not all(type(v) is int for v in (n, *itertools.chain(*cells))) or n < 0:
             raise ValueError("n and the cross coordinates must be integers, n >= 0")
+        if len(set(cells)) != len(cells):
+            raise ValueError("a cross is listed twice")
         return cls(n, frozenset((i, j) for i, j in cells))
 
     @classmethod

@@ -1,4 +1,11 @@
 import pytest
+from hypothesis import settings
+
+# every @given test draws the same examples on every run and keeps no
+# example database; a test's own settings add only its example count and
+# the health checks it suppresses
+settings.register_profile("schubert", derandomize=True, deadline=None, database=None)
+settings.load_profile("schubert")
 
 
 def pytest_addoption(parser):

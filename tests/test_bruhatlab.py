@@ -393,14 +393,7 @@ def test_intron_mutation_matches_reference_s3():
                 assert bruhatlab.intron_mutation_at(i, start, b).rows == expected
 
 
-# the settings of the packed-polynomial kernel tests in test_poly.py
-KERNEL = settings(
-    derandomize=True,
-    max_examples=60,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+KERNEL = settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 
 
 @st.composite

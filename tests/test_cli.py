@@ -73,6 +73,8 @@ def test_mitosis_verb(capsys):
         '{"n":true,"crosses":[]}',
         '{"n":2,"crosses":[["1","1"]]}',
         '{"n":-3,"crosses":[]}',
+        # a cross listed twice
+        '{"n":2,"crosses":[[1,1],[1,1]]}',
     ],
 )
 def test_malformed_dream_is_usage_error(capsys, dream):
@@ -89,9 +91,16 @@ def test_empty_dream_round_trips(capsys):
     assert pipedream.PipeDream.from_jsonable(data) == pipedream.PipeDream(0, frozenset())
 
 
-@pytest.mark.parametrize("row", ["0", "9", "-1"])
-def test_mitosis_row_out_of_range_is_usage_error(capsys, row):
-    dream = '{"n":4,"crosses":[[1,1],[1,2],[2,1]]}'
+DREAM4 = '{"n":4,"crosses":[[1,1],[1,2],[2,1]]}'
+
+
+# the last dream has no pair of adjacent rows, so no row to mutate
+@pytest.mark.parametrize(
+    "row, dream",
+    [("0", DREAM4), ("9", DREAM4), ("-1", DREAM4), ("1", '{"n":1,"crosses":[]}')],
+    ids=["0", "9", "-1", "n1"],
+)
+def test_mitosis_row_out_of_range_is_usage_error(capsys, row, dream):
     code, out, err = run(capsys, "mitosis", "--row", row, "--dream", dream)
     assert (code, out) == (2, "")
     assert err.startswith("error: --row")
@@ -266,6 +275,16 @@ def test_subword_rank_past_size_guard_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "subword", "--word", "99999999", "--perm", "1")
     assert (code, out) == (2, "")
     assert err == "error: subword: n=100000000 exceeds cap 10 (set SCHUBERT_MAX_N to override)\n"
+
+
+def test_subword_word_past_size_guard_exits_2(capsys, monkeypatch):
+    # 60 letters 1 + (7i mod 9): unguarded, the facet search for this
+    # length-15 pi took 26.3 s and printed 37.6 MB
+    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+    word = ",".join(str(1 + 7 * i % 9) for i in range(60))
+    code, out, err = run(capsys, "subword", "--word", word, "--perm", "[1,2,3,4,10,9,8,7,6,5]")
+    assert (code, out) == (2, "")
+    assert err == "error: subword word: n=60 exceeds cap 40 (set SCHUBERT_MAX_N to override)\n"
 
 
 def test_ideal_past_size_guard_exits_2(capsys, monkeypatch):

@@ -311,5 +311,5 @@ def test_theorem_a_s6_sample():
 
 @pytest.mark.slow
 def test_theorem_a_s6():
-    ok, detail = checks.theorem_a_slow()
+    ok, detail = checks.theorem_a(6)
     assert ok, detail

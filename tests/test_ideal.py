@@ -45,7 +45,7 @@ def test_schubert_generators_match_every_position_s1_to_s6():
             assert gens <= ref_schubert_generators(w, pruned=False)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(st.sampled_from([7, 8]).flatmap(lambda n: st.permutations(range(1, n + 1))))
 def test_schubert_generators_match_every_position_s7_s8(w):
     w = tuple(w)

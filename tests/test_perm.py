@@ -73,7 +73,7 @@ def test_rank_matrix_matches_reference_s1_to_s6():
             assert perm.rank_matrix(w) == ref_rank_matrix(w)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(st.sampled_from([7, 8]).flatmap(lambda n: st.permutations(range(1, n + 1))))
 def test_rank_matrix_matches_reference_s7_s8(w):
     assert perm.rank_matrix(tuple(w)) == ref_rank_matrix(tuple(w))

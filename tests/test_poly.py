@@ -247,13 +247,7 @@ def test_poly_str_signs():
 
 # -- the packed kernel against the reference kernel (reference_kernel.py) -----------
 
-KERNEL = settings(
-    derandomize=True,
-    max_examples=60,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+KERNEL = settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 
 MAX_INDEX = 12  # shells above 9 and z10_3-style names
 

@@ -240,7 +240,7 @@ def test_facets_match_reference_pentagon():
 PERMS4 = list(perm.all_perms(4))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(st.lists(st.integers(1, 3), max_size=10), st.sampled_from(PERMS4))
 @example([], (1, 2, 3, 4))  # the empty word, whose complex is {empty face}
 @example([], (2, 1, 3, 4))  # void: no letters at all

@@ -142,10 +142,20 @@ def count_arrays_built(monkeypatch) -> list:
 def test_tau_involution_arrays_built(monkeypatch):
     # S3 at entries 0..2: 42,282 standard arrays built from the faces of the
     # complexes, then two mutations per (w, i, b) triple; filtering all 3^9
-    # arrays per w once built 287,226
-    built = count_arrays_built(monkeypatch)
+    # arrays per w once built 287,226.  From cold caches, one standard_test
+    # per mutation, on its output, as the start codon is 0 exactly for an
+    # input outside the standard monomials (testing the input first made
+    # 338,256)
+    bruhatlab._start_codon.cache_clear()
+    bruhatlab._generator_masks.cache_clear()
+    built, tests = count_arrays_built(monkeypatch), []
+    standard_test = bruhatlab.standard_test
+    monkeypatch.setattr(
+        bruhatlab, "standard_test", lambda b, w: tests.append(b) or standard_test(b, w)
+    )
     assert checks.tau_involution(3, 2) == (True, "84564 (w, i, b) triples")
     assert len(built) == 42282 + 2 * 84564 == 211410
+    assert len(tests) == 2 * 84564 == 169128
 
 
 def test_family_and_bjs_products(monkeypatch):
