@@ -186,12 +186,12 @@ def standard_arrays(w: Perm, max_entry: int) -> Iterator[ExponentArray]:
     The supports are the faces of the Stanley-Reisner complex of J_w (the
     subsets of its facets); each face carries every choice of entries
     1..max_entry on its cells, row by row.  There are up to
-    (max_entry + 1)^(n^2) of them, so n is capped at 4.  The input is
+    (max_entry + 1)^(n^2) of them, so n is capped.  The input is
     checked and the faces found at the call.
     """
     w = perm.validate(w)
     n = len(w)
-    size_guard(n, 4, "standard_arrays")
+    size_guard(n, "standard_arrays")
     faces = set()
     for facet in ideal_mod.stanley_reisner_facets(ideal_mod.antidiagonal_ideal(w)):
         full = face = _cell_mask(facet, n)
@@ -301,7 +301,7 @@ def mitosis_facet_bridge(w: Perm, i: int) -> bool:
     offspring (InvariantError if two of them overlap)."""
     w = perm.validate(w)
     n = len(w)
-    size_guard(n, 5, "mitosis_facet_bridge")
+    size_guard(n, "mitosis_facet_bridge")
     ws = perm.descend(w, i)
     offspring = []
     for d in ideal_mod.facet_complement_dreams(w):

@@ -401,8 +401,7 @@ def stability(n: int = 3, big: int = 5) -> tuple[bool, str]:
 
 
 def run_all(n: int = 4, slow: bool = False) -> list[tuple[str, bool, str]]:
-    # past n = 6, criteria 3 and 5 take hours of brute-force RP(w)
-    size_guard(n, 6, "check-all")
+    size_guard(n, "check-all")
     n_small = min(n, 4)
     results = []
 

@@ -77,7 +77,7 @@ def parse_dream(text: str) -> pipedream.PipeDream:
 
 def cmd_mitosis(args) -> int:
     dream = parse_dream(args.dream)
-    size_guard(dream.n, 8, "mitosis")
+    size_guard(dream.n, "mitosis")
     if dream.n < 2:
         raise UsageError(f"--row {args.row}: a dream with n = {dream.n} has no row to mutate")
     if not 1 <= args.row < dream.n:
@@ -161,10 +161,10 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 def cmd_subword(args) -> int:
     word = parse_word(args.word)
-    size_guard(len(word), 40, "subword word")  # the facet search is exponential in it
+    size_guard(len(word), "subword word")
     pi = parse_permutation(args.perm)
     n = max(len(pi), max(word, default=0) + 1)
-    size_guard(n, 10, "subword")
+    size_guard(n, "subword")
     cox = subword.symmetric_group(n)
     delta = subword.subword_complex(word, perm.embed(pi, n), cox)
     payload: dict = {"facets": delta.facets_sorted()}

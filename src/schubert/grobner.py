@@ -416,12 +416,13 @@ def initial_ideal(basis: Sequence[Poly], order: TermOrder) -> frozenset:
     return frozenset(map(basis.mono, minimal))
 
 
-def verify_theorem_b(w: Perm, order: TermOrder, max_n: int = 5) -> bool:
+def verify_theorem_b(w: Perm, order: TermOrder, max_n: int | None = None) -> bool:
     """Desk-scale check that the Schubert minors are a Groebner basis with
-    initial ideal J_w, for an antidiagonal term order."""
+    initial ideal J_w, for an antidiagonal term order.  max_n, if given,
+    replaces the table's cap for this call."""
     w = perm.validate(w)
     n = len(w)
-    size_guard(n, max_n, "verify_theorem_b")
+    size_guard(n, "verify_theorem_b", max_n)
     if order.n != n:
         raise ValueError("term order built for a different grid size")
     if not order.antidiagonal:

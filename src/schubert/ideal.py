@@ -91,7 +91,7 @@ def schubert_generators(w: Perm) -> frozenset:
     """
     w = perm.validate(w)
     n = len(w)
-    size_guard(n, 11, "schubert_generators")
+    size_guard(n, "schubert_generators")
     # padded south and east with a rank that no position has
     ranks = [(*row, n + 1) for row in perm.rank_matrix(w)] + [(n + 1,) * (n + 1)]
     levels = {ranks[q - 1][p - 1] for (q, p) in essential_cells(w)}
@@ -158,7 +158,7 @@ def stanley_reisner_facets(ideal: SquarefreeMonomialIdeal) -> frozenset:
     Facets are complements (in the full n x n vertex set) of minimal vertex
     covers of the generator hypergraph.
     """
-    size_guard(ideal.n, 6, "stanley_reisner_facets")
+    size_guard(ideal.n, "stanley_reisner_facets")
     vertices = grid(ideal.n)
     # no generators: the one minimal cover is empty, the one facet the grid
     return frozenset(vertices - c for c in minimal_covers(ideal.generators))

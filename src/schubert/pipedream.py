@@ -187,7 +187,7 @@ def rp_mitosis(w: Perm) -> frozenset:
     """RP(w) by mitosis down the weak order from RP(w0) = {D0}, memoised per
     w like the polynomial families."""
     w = perm.validate(w)
-    size_guard(len(w), 8, "rp_mitosis")
+    size_guard(len(w), "rp_mitosis")
     return _rp(w)
 
 
@@ -195,7 +195,7 @@ def rp_bruteforce(w: Perm) -> frozenset:
     """RP(w) by exhaustive search over subsets of D0 (oracle for rp_mitosis)."""
     w = perm.validate(w)
     n = len(w)
-    size_guard(n, 7, "rp_bruteforce")
+    size_guard(n, "rp_bruteforce")
     cells = sorted(d0(n).crosses)
     k = perm.length(w)
     out = set()

@@ -485,26 +485,26 @@ _double_grothendieck = perm.weak_order_family(double_grothendieck_top, demazure)
 def schubert(w: Sequence[int]) -> LaurentPoly:
     """The Schubert polynomial of w."""
     w = perm.validate(w)
-    size_guard(len(w), 11, "schubert")
+    size_guard(len(w), "schubert")
     return _schubert(w)
 
 
 def double_schubert(w: Sequence[int]) -> LaurentPoly:
     w = perm.validate(w)
-    size_guard(len(w), 7, "double_schubert")
+    size_guard(len(w), "double_schubert")
     return _double_schubert(w)
 
 
 def grothendieck(w: Sequence[int]) -> LaurentPoly:
     """The Grothendieck polynomial of w."""
     w = perm.validate(w)
-    size_guard(len(w), 8, "grothendieck")
+    size_guard(len(w), "grothendieck")
     return _grothendieck(w)
 
 
 def double_grothendieck(w: Sequence[int]) -> LaurentPoly:
     w = perm.validate(w)
-    size_guard(len(w), 7, "double_grothendieck")
+    size_guard(len(w), "double_grothendieck")
     return _double_grothendieck(w)
 
 

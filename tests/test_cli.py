@@ -307,7 +307,7 @@ def test_mitosis_past_size_guard_exits_2(capsys, monkeypatch):
     assert err == "error: mitosis: n=100000 exceeds cap 8 (set SCHUBERT_MAX_N to override)\n"
 
 
-@pytest.mark.parametrize("value", ["abc", "", "4.5"])
+@pytest.mark.parametrize("value", ["abc", "", "4.5", "8_0", "\u0668"])
 def test_malformed_max_n_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("SCHUBERT_MAX_N", value)
     code, out, err = run(capsys, "rp", "2143")

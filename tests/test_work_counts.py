@@ -70,6 +70,25 @@ def test_theorem_a_makes_no_polynomial_product(monkeypatch):
     assert len(calls) == 692
 
 
+def test_theorem_a_guards_once_per_w(monkeypatch):
+    # theorem_a_check over S4 with J_w warm: its own guard bounds the four
+    # families, so it reads their memos without guarding w again (once for
+    # the check and once per family made five guard calls per w)
+    ws = list(perm.all_perms(4))
+    for w in ws:
+        ideal.antidiagonal_ideal(w)
+    guarded, size_guard = [], hilbert.size_guard
+
+    def counting(n, operation, *cap):
+        guarded.append(operation)
+        return size_guard(n, operation, *cap)
+
+    for module in (bruhatlab, checks, grobner, hilbert, ideal, pipedream, poly):
+        monkeypatch.setattr(module, "size_guard", counting)
+    assert all(hilbert.theorem_a_check(w) for w in ws)
+    assert guarded == ["theorem_a_check"] * len(ws)
+
+
 def test_theorem_b_enumerates_the_minors_once_per_order(monkeypatch):
     # verify_theorem_b over S4 under both antidiagonal orders, J_w from a
     # cold cache: one enumeration of the minors per (w, order) and no J_w,
