@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from . import ideal as ideal_mod
@@ -148,7 +148,9 @@ def start_codon(i: int, w: Perm, b: ExponentArray) -> int:
     return _start_codon(i, tuple(w), b._mask, b.n)
 
 
-@cache
+# bounded: the tau check on S4 asks 1.3 million keys, repeating one almost only
+# within a (w, i, b); a theorem-b pass asks at most 1,488 (seeds 0-99)
+@lru_cache(maxsize=1 << 12)
 def _start_codon(i: int, w: Perm, mask: int, n: int) -> int:
     gens = _generator_masks(w, n)
     if not _avoids(mask, gens):

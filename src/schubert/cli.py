@@ -5,13 +5,16 @@ permutation, pipe dream or word, an out-of-range option, a tripped size
 guard or a malformed SCHUBERT_MAX_N), which the verbs check at this
 boundary; 1 on verification failure and on any other error (a broken
 library invariant, a Groebner reduction past its coefficient bound, a
-library defect), each reported as one ``error:`` line.
+library defect), each reported as one ``error:`` line; 1 and no line when
+the reader of standard output closes early (``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 
@@ -161,7 +164,6 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 def cmd_subword(args) -> int:
     word = parse_word(args.word)
-    size_guard(len(word), "subword word")
     pi = parse_permutation(args.perm)
     n = max(len(pi), max(word, default=0) + 1)
     size_guard(n, "subword")
@@ -293,7 +295,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: stdout to devnull, so the last flush cannot raise
+        with contextlib.suppress(AttributeError, ValueError):  # stdout is no file
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
     except (UsageError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,8 +56,8 @@ CAPS: dict[str, int] = {
     # n = the rank of the group, the larger of len(pi) and the largest letter
     # + 1; the word 99999999 built a 10^8-entry identity permutation
     "subword": 10,
-    # n = the letters of the word; the facet search is exponential in it:
-    # 60 letters took 26.3 s and printed 37.6 MB
+    # n = the letters of the word subword_complex searches, exponential in
+    # them: 60 letters took 26.3 s, and the subword verb printed 37.6 MB
     "subword word": 40,
 }
 # n = the dream's side; the verb mutates the dreams that RP(w) by mitosis is

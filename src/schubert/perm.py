@@ -79,14 +79,6 @@ def apply_right_transposition(w: Perm, i: int) -> Perm:
     return tuple(out)
 
 
-def apply_left_transposition(i: int, w: Perm) -> Perm:
-    """s_i * w: swap the values i and i+1 wherever they occur."""
-    if not 1 <= i <= len(w) - 1:
-        raise ValueError(f"reflection index {i} out of range for n={len(w)}")
-    swap = {i: i + 1, i + 1: i}
-    return tuple(swap.get(v, v) for v in w)
-
-
 def descend(w: Perm, i: int) -> Perm:
     """w * s_i for a right descent i of w, one step down the weak order."""
     ws = apply_right_transposition(w, i)

@@ -6,15 +6,17 @@ distinct vertices.  The void complex (no faces at all) and the empty complex
 {<empty face>} are distinguished: the former has no facets, the latter has the
 single facet frozenset().
 
-The machinery only needs a Coxeter system through length, identity,
-multiplication by a generator and the right-descent test, collected in
+The machinery only needs a Coxeter system through its identity, length,
+right multiplication by a generator and the right-descent test, collected in
 CoxeterSystem; symmetric_group(n) is the one instantiation used here.
 
 A subword is a reduced word for pi exactly when, read right to left, each
 letter is a right descent of what is left of pi, which it then peels off
 (Knutson-Miller, Subword complexes in Coxeter groups).  contains and
-subword_complex both search this way, so neither measures a length inside
-its loop.
+subword_complex both search this way, and the vertex decomposition, which
+splits on the first letter s, carries pi^-1, as s is a left descent of pi
+exactly when it is a right descent of pi^-1 and (s pi)^-1 = pi^-1 s; none
+of them measures a length inside its loop.
 """
 
 from __future__ import annotations
@@ -25,20 +27,17 @@ from typing import Callable, Iterable, Sequence
 
 from . import ideal as ideal_mod
 from . import perm
-from .limits import InvariantError
+from .limits import InvariantError, size_guard
 from .perm import Perm
 
 
 @dataclass(frozen=True)
 class CoxeterSystem:
-    """What the subword machinery uses of a Coxeter group: its identity,
-    length, multiplication by a generator on either side, and the test
-    whether a generator s is a right descent of el, length(el s) <
-    length(el), which the searches use in place of lengths."""
+    """What the subword machinery uses of a Coxeter group; descent(el, s)
+    tests whether length(el s) < length(el), so the searches need no length."""
 
     identity: object
     length: Callable = field(compare=False)
-    left_mul: Callable = field(compare=False)   # (letter, element) -> element
     right_mul: Callable = field(compare=False)  # (element, letter) -> element
     # (element, letter) -> whether the letter is a right descent of it
     descent: Callable = field(compare=False)
@@ -53,7 +52,6 @@ def symmetric_group(n: int) -> CoxeterSystem:
     return CoxeterSystem(
         identity=perm.identity(n),
         length=perm.length,
-        left_mul=perm.apply_left_transposition,
         right_mul=perm.apply_right_transposition,
         descent=descent,
     )
@@ -110,6 +108,7 @@ def subword_complex(word: Sequence[int], pi, cox: CoxeterSystem) -> SubwordCompl
     subwords).  If the word does not contain pi the complex is void.
     """
     word = tuple(word)
+    size_guard(len(word), "subword word")
     target_len = cox.length(pi)
     reduced_subwords: list[frozenset] = []
 
@@ -136,27 +135,19 @@ def subword_complex(word: Sequence[int], pi, cox: CoxeterSystem) -> SubwordCompl
 # -- generic facet-set operations --------------------------------------------
 
 
-def _check_face(face: frozenset, facets: frozenset) -> None:
-    if not any(face <= f for f in facets):
-        raise ValueError(f"{sorted(face)} is not a face")
-
-
 def deletion(face: Iterable[int], facets: frozenset) -> frozenset:
     """Facets of del(F): maximal sets among facet - F."""
     face = frozenset(face)
-    _check_face(face, facets)
-    return ideal_mod.minimalize(
-        (f - face for f in facets), operator.ge, lambda s: -len(s)
-    )
+    if not any(face <= f for f in facets):
+        raise ValueError(f"{sorted(face)} is not a face")
+    return ideal_mod.minimalize((f - face for f in facets), operator.ge, lambda s: -len(s))
 
 
 def link(face: Iterable[int], facets: frozenset) -> frozenset:
-    """Facets of link(F): maximal sets among facet - F over facets containing F."""
+    """Facets of link(F): the deletion of F from its star, the facets
+    containing F."""
     face = frozenset(face)
-    _check_face(face, facets)
-    return ideal_mod.minimalize(
-        (f - face for f in facets if face <= f), operator.ge, lambda s: -len(s)
-    )
+    return deletion(face, frozenset(f for f in facets if face <= f))
 
 
 # -- vertex decomposition ------------------------------------------------------
@@ -183,27 +174,31 @@ def vertex_decompose(delta: SubwordComplex) -> tuple[object, list[frozenset]]:
     """
     if delta.is_void():
         raise ValueError("cannot decompose the void complex")
-    tree = _decompose(delta.word, 0, delta.pi, delta.cox.length(delta.pi), delta.cox)
+    # a facet's complement, read right to left, is a reduced word for pi^-1
+    reduced = sorted(delta.vertices - next(iter(delta.facets)), reverse=True)
+    pinv = demazure_product([delta.word[p] for p in reduced], delta.cox)
+    tree = _decompose(delta.word, 0, pinv, len(reduced), delta.cox)
     order = shelling_from_decomposition(tree)
     if not is_shelling(order, delta.facets):
         raise InvariantError("decomposition tree does not replay to the facets as a shelling")
     return tree, order
 
 
-def _decompose(word: tuple, pos: int, pi, pi_length: int, cox: CoxeterSystem):
-    """Tree of the complex of word[pos:] and pi, which must contain pi.  Only
-    the link of a descent letter can be void: the deletion contains sigma pi
-    by the subword property, and the link of a cone letter contains pi, as
-    no reduced subword uses that letter."""
+def _decompose(word: tuple, pos: int, pinv, pi_length: int, cox: CoxeterSystem):
+    """Tree of the complex of word[pos:] and pi, which must contain pi, from
+    pinv = pi^-1.  Only the link of a descent letter can be void: the
+    deletion contains s pi by the subword property, and the link of a cone
+    letter contains pi, as no reduced subword uses that letter.  A word
+    contains pi exactly when its reverse contains pi^-1."""
     if pi_length == len(word) - pos:
         return EMPTY_LEAF  # the whole word is forced: single facet = empty set
-    spi = cox.left_mul(word[pos], pi)
-    if cox.length(spi) > pi_length:
-        return DecompositionNode(pos, True, _decompose(word, pos + 1, pi, pi_length, cox), None)
+    s = word[pos]
+    if not cox.descent(pinv, s):
+        return DecompositionNode(pos, True, _decompose(word, pos + 1, pinv, pi_length, cox), None)
     link_tree = VOID_LEAF
-    if contains(word[pos + 1 :], pi, cox):
-        link_tree = _decompose(word, pos + 1, pi, pi_length, cox)
-    del_tree = _decompose(word, pos + 1, spi, pi_length - 1, cox)
+    if contains(word[pos + 1 :][::-1], pinv, cox):
+        link_tree = _decompose(word, pos + 1, pinv, pi_length, cox)
+    del_tree = _decompose(word, pos + 1, cox.right_mul(pinv, s), pi_length - 1, cox)
     return DecompositionNode(pos, False, link_tree, del_tree)
 
 

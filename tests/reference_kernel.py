@@ -42,8 +42,9 @@ pi.
 made before its introns came from the scan that mutates them.
 
 ``ref_decompose`` is the vertex decomposition schubert.subword made before
-it tested containment only where a link can be void: it tests every node and
-carries the vertex labels of the shortened word.  ``ref_is_shelling`` is the
+it tested containment only where a link can be void and carried pi^-1: it
+tests every node, forms s pi and its length in schubert.perm, and carries the
+vertex labels of the shortened word.  ``ref_is_shelling`` is the
 Bjorner-Wachs shelling test by brute force over the faces of each meet
 complex.
 """
@@ -299,8 +300,8 @@ def ref_decompose(word: tuple, pi, pi_length: int, labels: tuple, cox):
     sigma = word[0]
     rest, rest_labels = word[1:], labels[1:]
     link_tree = ref_decompose(rest, pi, pi_length, rest_labels, cox)
-    spi = cox.left_mul(sigma, pi)
-    if cox.length(spi) < pi_length:
+    spi = perm.multiply(perm.permutation_from_word(len(pi), (sigma,)), pi)
+    if perm.length(spi) < pi_length:
         del_tree = ref_decompose(rest, spi, pi_length - 1, rest_labels, cox)
         return DecompositionNode(labels[0], False, link_tree, del_tree)
     return DecompositionNode(labels[0], True, link_tree, None)

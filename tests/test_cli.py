@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -343,6 +344,38 @@ def test_check_all_deterministic(capsys):
     )
     assert (fresh.returncode, fresh.stderr) == (0, "")
     assert fresh.stdout == out1
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_1_quietly(capsys, monkeypatch):
+    # a reader that closes early is not a library defect: no error line
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(["schubert", "2143"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_1_quietly_in_a_fresh_process():
+    # the read end is closed before the process starts, so every write
+    # fails; stdout is block-buffered, as in a shell pipeline, so the output
+    # is still buffered when the verb returns, and the interpreter's flush at
+    # exit must not report it either
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(schubert.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "schubert.cli", "schubert", "2143"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (fresh.returncode, fresh.stderr) == (1, "")
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])

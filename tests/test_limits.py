@@ -8,7 +8,9 @@ import re
 import pytest
 
 import schubert
-from schubert import bruhatlab, checks, cli, grobner, hilbert, ideal, limits, perm, pipedream, poly
+from schubert import (
+    bruhatlab, checks, cli, grobner, hilbert, ideal, limits, perm, pipedream, poly, subword,
+)
 from schubert.limits import CAPS, SizeGuardError
 
 SRC = pathlib.Path(schubert.__file__).parent
@@ -44,7 +46,9 @@ ENTRIES = {
     "check-all": lambda n: checks.run_all(n),
     # the rank is the largest letter + 1
     "subword": lambda n: run_verb("subword", "--word", str(n - 1), "--perm", "1"),
-    "subword word": lambda n: run_verb("subword", "--word", ",".join(["1"] * n), "--perm", "1"),
+    "subword word": lambda n: subword.subword_complex(
+        (1,) * n, perm.identity(2), subword.symmetric_group(2)
+    ),
     "mitosis": lambda n: run_verb(
         "mitosis", "--row", "1", "--dream", f'{{"n":{n},"crosses":[]}}'
     ),

@@ -101,7 +101,7 @@ def test_link_and_deletion_match_subword_recursion():
     link0 = subword.link([0], delta.facets)
     assert link0 == shift(subword_complex(word[1:], pi, cox).facets)
     # sigma pi is shorter here, so the deletion shortens pi
-    spi = perm.apply_left_transposition(word[0], pi)
+    spi = perm.multiply(perm.permutation_from_word(4, word[:1]), pi)
     assert perm.length(spi) < perm.length(pi)
     del0 = subword.deletion([0], delta.facets)
     assert del0 == shift(subword_complex(word[1:], spi, cox).facets)

@@ -122,27 +122,46 @@ def test_subword_complex_length_calls():
     assert len(calls) == 1
 
 
+def tree_nodes(tree) -> int:
+    if tree in (subword.VOID_LEAF, subword.EMPTY_LEAF):
+        return 0
+    return 1 + tree_nodes(tree.link) + (0 if tree.cone else tree_nodes(tree.deletion))
+
+
 def test_vertex_decomposition_length_calls(monkeypatch):
-    # the 24 square-word complexes of checks.subword_checks(4): one length
-    # for pi at the root, then one for s*pi per node, as the link keeps
-    # length(pi) and the deletion lowers it by one (measuring length(pi)
-    # again at every node made 1,761); containment is tested only for the
-    # link of a descent letter, the one child that can be void (testing it
-    # at every node made 713 calls)
+    # the 24 square-word complexes of checks.subword_checks(4): the tree
+    # carries pi^-1, read with length(pi) off a facet, so each node asks one
+    # descent test and measures no length (measuring length(s pi) at each
+    # node made 611 calls, and length(pi) as well made 1,761); containment
+    # is tested only for the link of a descent letter, the one child that
+    # can be void (testing it at every node made 713 calls)
     n = 4
     word = subword.square_word(n)
     cox = subword.symmetric_group(2 * n)
-    calls, contains_calls = [], []
+    calls, contains_calls, roots = [], [], []
     counting = dataclasses.replace(cox, length=lambda u: calls.append(u) or perm.length(u))
-    contains = subword.contains
+    contains, decompose = subword.contains, subword._decompose
     monkeypatch.setattr(
         subword, "contains", lambda *args: contains_calls.append(args) or contains(*args)
     )
+
+    def recording(word, pos, pinv, *rest):
+        if pos == 0:  # the root
+            roots.append(pinv)
+        return decompose(word, pos, pinv, *rest)
+
+    monkeypatch.setattr(subword, "_decompose", recording)
+    nodes = 0
     for w in perm.all_perms(n):
-        delta = subword.subword_complex(word, perm.embed(w, 2 * n), cox)
-        subword.vertex_decompose(dataclasses.replace(delta, cox=counting))
-    assert len(calls) == 611
+        pi = perm.embed(w, 2 * n)
+        delta = subword.subword_complex(word, pi, cox)
+        tree, _ = subword.vertex_decompose(dataclasses.replace(delta, cox=counting))
+        assert roots == [perm.inverse(pi)]
+        roots.clear()
+        nodes += tree_nodes(tree)
+    assert len(calls) == 0
     assert len(contains_calls) == 102
+    assert nodes == 587
 
 
 def count_arrays_built(monkeypatch) -> list:
@@ -175,6 +194,10 @@ def test_tau_involution_arrays_built(monkeypatch):
     assert checks.tau_involution(3, 2) == (True, "84564 (w, i, b) triples")
     assert len(built) == 42282 + 2 * 84564 == 211410
     assert len(tests) == 2 * 84564 == 169128
+    # the start-codon memo stays within its bound (unbounded, it kept an
+    # entry per distinct (i, w, mask))
+    info = bruhatlab._start_codon.cache_info()
+    assert info.maxsize == 1 << 12 and info.currsize <= info.maxsize
 
 
 def test_family_and_bjs_products(monkeypatch):
