@@ -123,7 +123,8 @@ def prime_decomposition(n: int = 5) -> tuple[bool, str]:
         size = perm.length(w)
         if any(len(d.crosses) != size for d in dreams):
             return False, f"purity fails at {w}"
-        if dreams != pipedream.rp_bruteforce(w):
+        # RP(w) from the memo; bjs_identity checks it against brute force
+        if dreams != pipedream.rp_mitosis(w):
             return False, f"facet complements != RP at {w}"
     ok, detail = pentagon_structure_1432()
     if not ok:

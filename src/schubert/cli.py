@@ -157,7 +157,7 @@ def cmd_invariant(args) -> int:
 
 def parse_word(text: str) -> tuple[int, ...]:
     parts = text.replace(",", " ").split()
-    if not all(p.isdecimal() and int(p) >= 1 for p in parts):
+    if not all(p.isascii() and p.isdecimal() and int(p) >= 1 for p in parts):
         raise UsageError(f"malformed word: {text.strip()!r} (letters are integers >= 1)")
     return tuple(map(int, parts))
 

@@ -419,7 +419,7 @@ def initial_ideal(basis: Sequence[Poly], order: TermOrder) -> frozenset:
 def verify_theorem_b(w: Perm, order: TermOrder, max_n: int | None = None) -> bool:
     """Desk-scale check that the Schubert minors are a Groebner basis with
     initial ideal J_w, for an antidiagonal term order.  max_n, if given,
-    replaces the table's cap for this call."""
+    raises the table's cap for this call."""
     w = perm.validate(w)
     n = len(w)
     size_guard(n, "verify_theorem_b", max_n)

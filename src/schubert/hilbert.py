@@ -160,7 +160,8 @@ def theorem_a_check(w: Perm) -> bool:
     size_guard(len(w), "theorem_a_check")
     gens = ideal_mod.antidiagonal_ideal(w).generators  # J_w is built minimal
     # the guard above implies the families' (their caps are no smaller, and
-    # SCHUBERT_MAX_N sets every cap alike), so w goes straight to their memos
+    # SCHUBERT_MAX_N raises each to at least its value), so w goes straight
+    # to their memos
     for grading, groth, schub in (
         ("zn", poly._grothendieck, poly._schubert),
         ("z2n", poly._double_grothendieck, poly._double_schubert),

@@ -5,7 +5,7 @@ largest n it accepts, and the comment on each entry says what n counts
 there (the size of w, the side of the n x n grid, the rank of a group or
 the letters of a word) and why the cap sits where it does.  The
 environment variable SCHUBERT_MAX_N, an optional sign and ASCII digits,
-overrides every cap, so big one-off runs (or stricter CI limits) need no
+raises every cap below it and lowers none, so big one-off runs need no
 code changes.  It is read at each guard, so a value set while the process
 runs takes effect at the next call.
 """
@@ -81,15 +81,14 @@ class InvariantError(Exception):
 
 
 def size_guard(n: int, operation: str, cap: int | None = None) -> None:
-    """Raise SizeGuardError if n exceeds the operation's cap: SCHUBERT_MAX_N
-    if set, else `cap` if given, else CAPS[operation]."""
+    """Raise SizeGuardError if n exceeds the operation's cap: the largest of
+    CAPS[operation], `cap` if given, and SCHUBERT_MAX_N if set."""
+    cap = CAPS[operation] if cap is None else max(cap, CAPS[operation])
     env = os.environ.get(ENV_VAR)
     if env is not None:
         if not _INTEGER.fullmatch(env):
             raise SizeGuardError(f"{ENV_VAR}={env!r} is not an integer")
-        cap = int(env)
-    elif cap is None:
-        cap = CAPS[operation]
+        cap = max(cap, int(env))
     if n > cap:
         raise SizeGuardError(
             f"{operation}: n={n} exceeds cap {cap} (set {ENV_VAR} to override)"

@@ -34,7 +34,7 @@ def parse(text: str) -> Perm:
         if not all(type(v) is int for v in values):
             raise ValueError(f"non-integer entry in {text!r}")
         return validate(values)
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"malformed permutation: {text!r}")
     return validate(int(ch) for ch in text)
 

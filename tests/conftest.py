@@ -8,6 +8,13 @@ settings.register_profile("schubert", derandomize=True, deadline=None, database=
 settings.load_profile("schubert")
 
 
+@pytest.fixture(autouse=True)
+def _no_cap_override(monkeypatch):
+    # every test starts at the table's caps, whatever SCHUBERT_MAX_N the
+    # caller exported; a test that needs a value sets it itself
+    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--runslow",

@@ -287,9 +287,8 @@ def test_standard_arrays_match_the_filter():
     assert max(s3) == 3**9  # the identity: J_w = 0, every array is standard
 
 
-def test_standard_arrays_check_their_input_at_the_call(monkeypatch):
+def test_standard_arrays_check_their_input_at_the_call():
     # the iterator is lazy, but a bad w or a grid past the cap fails at once
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
     with pytest.raises(ValueError, match="not a permutation"):
         bruhatlab.standard_arrays((1, 1, 2), 1)
     with pytest.raises(SizeGuardError):

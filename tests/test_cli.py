@@ -226,7 +226,7 @@ def test_malformed_permutation_is_usage_error(capsys):
     code, _, err = run(capsys, "schubert", "21x3")
     assert code == 2
     assert "malformed permutation" in err
-    for bad in ("2140", "[2,1", '[1,"a"]'):
+    for bad in ("2140", "[2,1", '[1,"a"]', "\u0661\u0662", "\uff12\uff11"):
         code, _, err = run(capsys, "schubert", bad)
         assert code == 2
         assert err.startswith("error: malformed permutation")
@@ -236,62 +236,55 @@ def test_unknown_verb_is_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 2
 
 
-def test_size_guard_is_usage_error(capsys, monkeypatch):
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+def test_size_guard_is_usage_error(capsys):
     code, _, err = run(capsys, "rp", "[1,2,3,4,5,6,7,8]", "--method", "brute")
     assert code == 2
     assert "exceeds cap" in err
 
 
-def test_rp_mitosis_past_size_guard_exits_2(capsys, monkeypatch):
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+def test_rp_mitosis_past_size_guard_exits_2(capsys):
     code, out, err = run(capsys, "rp", "123456789", "--method", "mitosis")
     assert (code, out) == (2, "")
     assert err == "error: rp_mitosis: n=9 exceeds cap 8 (set SCHUBERT_MAX_N to override)\n"
 
 
-def test_grothendieck_past_size_guard_exits_2(capsys, monkeypatch):
+def test_grothendieck_past_size_guard_exits_2(capsys):
     # unguarded, the family from w0 took 3.8 s at n = 9 and 52 s at n = 10
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
     code, out, err = run(capsys, "grothendieck", "123456789")
     assert (code, out) == (2, "")
     assert err == "error: grothendieck: n=9 exceeds cap 8 (set SCHUBERT_MAX_N to override)\n"
 
 
 @pytest.mark.parametrize("n", [12, 50])
-def test_schubert_past_size_guard_exits_2(capsys, monkeypatch, n):
+def test_schubert_past_size_guard_exits_2(capsys, n):
     # unguarded, seeded random w took 3.3 s at n = 12 and 33 s at n = 13, and
     # the identity of S50 overran the recursion limit
     w = "[" + ",".join(map(str, range(1, n + 1))) + "]"
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
     code, out, err = run(capsys, "schubert", w)
     assert (code, out) == (2, "")
     assert err == f"error: schubert: n={n} exceeds cap 11 (set SCHUBERT_MAX_N to override)\n"
 
 
-def test_subword_rank_past_size_guard_exits_2(capsys, monkeypatch):
+def test_subword_rank_past_size_guard_exits_2(capsys):
     # the rank is the largest letter + 1; unguarded, this word built a
     # 10^8-entry identity permutation
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
     code, out, err = run(capsys, "subword", "--word", "99999999", "--perm", "1")
     assert (code, out) == (2, "")
     assert err == "error: subword: n=100000000 exceeds cap 10 (set SCHUBERT_MAX_N to override)\n"
 
 
-def test_subword_word_past_size_guard_exits_2(capsys, monkeypatch):
+def test_subword_word_past_size_guard_exits_2(capsys):
     # 60 letters 1 + (7i mod 9): unguarded, the facet search for this
     # length-15 pi took 26.3 s and printed 37.6 MB
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
     word = ",".join(str(1 + 7 * i % 9) for i in range(60))
     code, out, err = run(capsys, "subword", "--word", word, "--perm", "[1,2,3,4,10,9,8,7,6,5]")
     assert (code, out) == (2, "")
     assert err == "error: subword word: n=60 exceeds cap 40 (set SCHUBERT_MAX_N to override)\n"
 
 
-def test_ideal_past_size_guard_exits_2(capsys, monkeypatch):
+def test_ideal_past_size_guard_exits_2(capsys):
     # one essential box at (8, 8) of rank 3: unguarded, minimalizing the
     # 89,964 same-size minors did not finish in 300 s
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
     code, out, err = run(capsys, "ideal", "[1,2,3,4,11,12,13,14,15,16,10,5,6,7,8,9]")
     assert (code, out) == (2, "")
     assert err == (
@@ -299,9 +292,8 @@ def test_ideal_past_size_guard_exits_2(capsys, monkeypatch):
     )
 
 
-def test_mitosis_past_size_guard_exits_2(capsys, monkeypatch):
+def test_mitosis_past_size_guard_exits_2(capsys):
     # unguarded, --render printed an n x n grid: 11.2 s and 128 MB at n = 8000
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
     dream = '{"n":100000,"crosses":[[1,1]]}'
     code, out, err = run(capsys, "mitosis", "--row", "1", "--dream", dream, "--render")
     assert (code, out) == (2, "")
@@ -316,14 +308,21 @@ def test_malformed_max_n_is_usage_error(capsys, monkeypatch, value):
     assert err == f"error: SCHUBERT_MAX_N={value!r} is not an integer\n"
 
 
-def test_check_all_past_size_guard_exits_2(capsys, monkeypatch):
+def test_check_all_past_size_guard_exits_2(capsys):
     # the sweep is capped before any check runs: at n = 7 every per-call cap
     # passed, and criteria 3 and 5 took about 1.8 s of brute-force RP(w) per w
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
     for n in (7, 8):
         code, out, err = run(capsys, "check-all", "--n", str(n))
         assert (code, out) == (2, "")
         assert err == f"error: check-all: n={n} exceeds cap 6 (set SCHUBERT_MAX_N to override)\n"
+
+
+def test_check_all_runs_under_a_smaller_override(capsys, monkeypatch):
+    # the 9-letter square word of S3 stays under the 40-letter word cap
+    monkeypatch.setenv("SCHUBERT_MAX_N", "8")
+    code, out, _ = run(capsys, "check-all", "--n", "3")
+    assert code == 0
+    assert list(golden_cases("check-all")) == [["3", hashlib.sha256(out.encode()).hexdigest()]]
 
 
 def test_check_all_deterministic(capsys):
@@ -385,7 +384,7 @@ def test_check_all_n_below_1_is_usage_error(capsys, n):
     assert err == f"error: --n {n} is not a positive integer\n"
 
 
-@pytest.mark.parametrize("word", ["a,b", "3,x", "3,0,3", "3,-1", "2.5"])
+@pytest.mark.parametrize("word", ["a,b", "3,x", "3,0,3", "3,-1", "2.5", "\u0661,\u0662"])
 def test_malformed_word_is_usage_error(capsys, word):
     code, out, err = run(capsys, "subword", "--word", word, "--perm", "1432")
     assert (code, out) == (2, "")
@@ -393,8 +392,7 @@ def test_malformed_word_is_usage_error(capsys, word):
     assert "Traceback" not in err
 
 
-def test_multidegree_past_size_guard_exits_2(capsys, monkeypatch):
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+def test_multidegree_past_size_guard_exits_2(capsys):
     code, out, err = run(capsys, "multidegree", "2143657")
     assert (code, out) == (2, "")
     assert err.startswith("error: multidegree_of_ideal: n=7 exceeds cap 6")

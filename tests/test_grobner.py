@@ -305,6 +305,12 @@ def test_verify_theorem_b_165_minors():
         assert grobner.verify_theorem_b(w, order, max_n=8)
 
 
+def test_max_n_survives_a_smaller_override(monkeypatch):
+    # SCHUBERT_MAX_N=7 raises the table's cap of 5 and leaves the call's 8
+    monkeypatch.setenv("SCHUBERT_MAX_N", "7")
+    assert grobner.verify_theorem_b(perm.parse("13865742"), antidiag_revlex_nw(8), max_n=8)
+
+
 def test_reduction_count_gate(monkeypatch):
     # S-pairs reduced, and pairs visited, for two instances under both
     # antidiagonal orders: a change that silently does more work fails here.

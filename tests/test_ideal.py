@@ -223,8 +223,7 @@ def test_minimal_covers_match_brute_force():
     assert ideal.minimal_covers([]) == {frozenset()}
 
 
-def test_facets_guard(monkeypatch):
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+def test_facets_guard():
     big = ideal.SquarefreeMonomialIdeal(7, frozenset([cells((1, 1))]))
     with pytest.raises(ValueError):
         ideal.stanley_reisner_facets(big)

@@ -1,5 +1,6 @@
-"""The size-cap table: every cap trips at its entry point, every guard names a
-table entry, and README's table is the table."""
+"""The size-cap table: every cap trips at its entry point, SCHUBERT_MAX_N and a
+per-call cap only raise it, every guard names a table entry, and README's
+table is the table."""
 
 import ast
 import pathlib
@@ -56,8 +57,7 @@ ENTRIES = {
 
 
 @pytest.mark.parametrize("operation", sorted(CAPS))
-def test_every_cap_trips_at_its_entry(monkeypatch, operation):
-    monkeypatch.delenv(limits.ENV_VAR, raising=False)
+def test_every_cap_trips_at_its_entry(operation):
     cap = CAPS[operation]
     limits.size_guard(cap, operation)
     expected = f"{operation}: n={cap + 1} exceeds cap {cap} (set SCHUBERT_MAX_N to override)"
@@ -71,12 +71,32 @@ def test_theorem_a_cap_is_within_the_family_caps():
     assert all(CAPS["theorem_a_check"] <= CAPS[name] for name in FAMILIES)
 
 
-@pytest.mark.parametrize("value, cap", [("7", 7), ("+7", 7), ("007", 7), ("-1", -1)])
+@pytest.mark.parametrize("value, cap", [("7", 7), ("+7", 7), ("007", 7), ("-1", 4)])
 def test_max_n_takes_a_sign_and_ascii_digits(monkeypatch, value, cap):
+    # standard_arrays has cap 4, so -1 leaves it there
     monkeypatch.setenv(limits.ENV_VAR, value)
-    limits.size_guard(cap, "schubert")
+    limits.size_guard(cap, "standard_arrays")
     with pytest.raises(SizeGuardError, match=f"exceeds cap {cap} "):
-        limits.size_guard(cap + 1, "schubert")
+        limits.size_guard(cap + 1, "standard_arrays")
+
+
+@pytest.mark.parametrize("operation", sorted(CAPS))
+def test_cap_is_the_largest_of_table_call_and_max_n(monkeypatch, operation):
+    # a per-call cap and SCHUBERT_MAX_N each raise the table's cap, and lower none
+    table = CAPS[operation]
+    for call in (None, table - 2, table + 2):
+        for env in (None, table - 1, table + 1, table + 4):
+            if env is None:
+                monkeypatch.delenv(limits.ENV_VAR, raising=False)
+            else:
+                monkeypatch.setenv(limits.ENV_VAR, str(env))
+            cap = max(c for c in (table, call, env) if c is not None)
+            limits.size_guard(cap, operation, call)
+            with pytest.raises(SizeGuardError) as info:
+                limits.size_guard(cap + 1, operation, call)
+            assert str(info.value) == (
+                f"{operation}: n={cap + 1} exceeds cap {cap} (set SCHUBERT_MAX_N to override)"
+            )
 
 
 # -- the table is the only source ---------------------------------------------------

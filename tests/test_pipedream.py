@@ -1,9 +1,11 @@
 import itertools
+import re
 
 import pytest
 
 from reference_kernel import mitosis_via_chutes
 from schubert import perm, pipedream, poly
+from schubert.limits import SizeGuardError
 from schubert.pipedream import PipeDream, make
 
 
@@ -182,29 +184,33 @@ def test_rp_bruteforce_agrees_with_mitosis_s4():
 
 
 def test_rp_bruteforce_guard(monkeypatch):
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
-    with pytest.raises(ValueError):
+    past = "rp_bruteforce: n=8 exceeds cap 7 (set SCHUBERT_MAX_N to override)"
+    with pytest.raises(SizeGuardError, match=re.escape(past)):
         pipedream.rp_bruteforce(perm.identity(8))
     monkeypatch.setenv("SCHUBERT_MAX_N", "8")
     assert pipedream.rp_bruteforce(perm.identity(8)) == frozenset(
         [pipedream.make(8, [])]
     )
+    # a value below the table's cap leaves it in force
     monkeypatch.setenv("SCHUBERT_MAX_N", "3")
-    with pytest.raises(ValueError):
-        pipedream.rp_bruteforce(perm.identity(4))
+    assert pipedream.rp_bruteforce(perm.identity(4)) == frozenset([pipedream.make(4, [])])
+    with pytest.raises(SizeGuardError, match=re.escape(past)):
+        pipedream.rp_bruteforce(perm.identity(8))
 
 
 def test_rp_mitosis_guard(monkeypatch):
     # cap 8, one above rp_bruteforce; w0 is the one w whose mitosis is free
-    monkeypatch.delenv("SCHUBERT_MAX_N", raising=False)
+    past = "rp_mitosis: n=9 exceeds cap 8 (set SCHUBERT_MAX_N to override)"
     assert pipedream.rp_mitosis(perm.long_element(8)) == frozenset([pipedream.d0(8)])
-    with pytest.raises(ValueError):
+    with pytest.raises(SizeGuardError, match=re.escape(past)):
         pipedream.rp_mitosis(perm.long_element(9))
     monkeypatch.setenv("SCHUBERT_MAX_N", "9")
     assert pipedream.rp_mitosis(perm.long_element(9)) == frozenset([pipedream.d0(9)])
+    # a value below the table's cap leaves it in force
     monkeypatch.setenv("SCHUBERT_MAX_N", "3")
-    with pytest.raises(ValueError):
-        pipedream.rp_mitosis(perm.identity(4))
+    assert pipedream.rp_mitosis(perm.identity(4)) == frozenset([pipedream.make(4, [])])
+    with pytest.raises(SizeGuardError, match=re.escape(past)):
+        pipedream.rp_mitosis(perm.long_element(9))
 
 
 def test_library_dreams_stay_above_antidiagonal():

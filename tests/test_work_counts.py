@@ -321,3 +321,19 @@ def test_standard_arrays_are_built_as_read(monkeypatch):
     first = next(arrays)
     assert len(built) == 1
     assert first.rows == ((0,) * 4,) * 4
+
+
+def test_prime_decomposition_makes_no_brute_force(monkeypatch):
+    # criterion 5 compares the facet complements with the memoised RP(w) by
+    # mitosis; criterion 3 checks mitosis against brute force once per w (the
+    # second brute-force sweep over S4 made 24 calls)
+    calls = []
+    brute = pipedream.rp_bruteforce
+
+    def counting(w):
+        calls.append(w)
+        return brute(w)
+
+    monkeypatch.setattr(pipedream, "rp_bruteforce", counting)
+    assert checks.prime_decomposition(4) == (True, "S4 + the 1432 pentagon")
+    assert calls == []
