@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit status: 0 on success; 2 on usage errors (unknown verb, malformed
-permutation, pipe dream or word, an out-of-range option, a tripped size
-guard or a malformed SCHUBERT_MAX_N), which the verbs check at this
-boundary; 1 on verification failure and on any other error (a broken
+permutation, pipe dream, word or integer option, an out-of-range option,
+a tripped size guard or a malformed SCHUBERT_MAX_N), which the verbs check
+at this boundary; 1 on verification failure and on any other error (a broken
 library invariant, a Groebner reduction past its coefficient bound, a
 library defect), each reported as one ``error:`` line; 1 and no line when
 the reader of standard output closes early (``| head``).
@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import checks, grobner, hilbert, ideal, perm, pipedream, poly, subword
-from .limits import InvariantError, SizeGuardError, size_guard
+from .limits import INTEGER, InvariantError, SizeGuardError, size_guard
 from .perm import Perm
 
 
@@ -32,6 +32,13 @@ def parse_permutation(text: str) -> Perm:
         return perm.parse(text)
     except ValueError:
         raise UsageError(f"malformed permutation: {text.strip()!r}") from None
+
+
+def parse_integer(option: str, text: str) -> int:
+    """An optional sign and ASCII digits, as SCHUBERT_MAX_N; int() also takes "0_3"."""
+    if not INTEGER.fullmatch(text):
+        raise UsageError(f"{option} {text!r} is not an integer")
+    return int(text)
 
 
 def _emit_poly(f, as_json: bool) -> None:
@@ -79,13 +86,14 @@ def parse_dream(text: str) -> pipedream.PipeDream:
 
 
 def cmd_mitosis(args) -> int:
+    row = parse_integer("--row", args.row)
     dream = parse_dream(args.dream)
     size_guard(dream.n, "mitosis")
     if dream.n < 2:
-        raise UsageError(f"--row {args.row}: a dream with n = {dream.n} has no row to mutate")
-    if not 1 <= args.row < dream.n:
-        raise UsageError(f"--row {args.row} is not in 1..{dream.n - 1}")
-    _emit_dreams(pipedream.mitosis(args.row, dream), args)
+        raise UsageError(f"--row {row}: a dream with n = {dream.n} has no row to mutate")
+    if not 1 <= row < dream.n:
+        raise UsageError(f"--row {row} is not in 1..{dream.n - 1}")
+    _emit_dreams(pipedream.mitosis(row, dream), args)
     return 0
 
 
@@ -119,6 +127,7 @@ def cmd_gb_verify(args) -> int:
     if args.all_s4 == (args.permutation is not None):
         raise UsageError("gb-verify needs exactly one of a permutation and --all-s4")
     perms = list(perm.all_perms(4)) if args.all_s4 else [parse_permutation(args.permutation)]
+    size_guard(len(perms[0]), "verify_theorem_b")  # before the n^2 x n^2 order is built
     order = grobner.TERM_ORDERS[args.order](len(perms[0]))  # one n per run
     if not order.antidiagonal:
         raise UsageError(f"gb-verify needs an antidiagonal order, not {args.order!r}")
@@ -187,19 +196,14 @@ def cmd_subword(args) -> int:
 
 
 def cmd_check_all(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n {args.n} is not a positive integer")
-    results = checks.run_all(n=args.n, slow=args.slow)
+    n = parse_integer("--n", args.n)
+    if n < 1:
+        raise UsageError(f"--n {n} is not a positive integer")
+    results = checks.run_all(n=n, slow=args.slow)
     ok = all(passed for _, passed, _ in results)
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {"check": name, "pass": passed, "detail": detail}
-                    for name, passed, detail in results
-                ]
-            )
-        )
+        keys = ("check", "pass", "detail")
+        print(json.dumps([dict(zip(keys, result)) for result in results]))
         return 0 if ok else 1
     for name, passed, detail in results:
         line = f"{'PASS' if passed else 'FAIL'} {name}"
@@ -240,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rp)
 
     p = sub.add_parser("mitosis", help="apply a mitosis operator to a pipe dream")
-    p.add_argument("--row", type=int, required=True)
+    p.add_argument("--row", required=True)
     p.add_argument("--dream", required=True, help='JSON like {"n":4,"crosses":[[1,1]]}')
     p.add_argument("--render", action="store_true")
     add_json(p)
@@ -276,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_subword)
 
     p = sub.add_parser("check-all", help="run the verification suite")
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", default="4")
     p.add_argument(
         "--slow", action="store_true",
         help="include the slow sweeps: Theorem B on all of S6 and the 165-minor "

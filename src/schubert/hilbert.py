@@ -117,7 +117,7 @@ def _k_of_gens(gens: frozenset, grading: str) -> tuple[int, LaurentPoly, Laurent
 def _of_ideal(ideal: SquarefreeMonomialIdeal, grading: str):
     if grading not in GRADINGS:
         raise ValueError(f"unknown grading {grading!r}")
-    return _k_of_gens(ideal_mod.minimalize(ideal.generators), grading)
+    return _k_of_gens(ideal.generators, grading)
 
 
 def k_polynomial(ideal: SquarefreeMonomialIdeal, grading: str = "zn2") -> LaurentPoly:
@@ -142,14 +142,13 @@ def weight_product(cells: Iterable[Cell], grading: str) -> LaurentPoly:
     return product
 
 
-def multidegree_additive(
-    facets: Iterable[frozenset], n: int, grading: str = "zn"
-) -> LaurentPoly:
-    """Sum over facets of the product of ordinary weights of complement cells."""
-    vertices = ideal_mod.grid(n)
+def multidegree_additive(cell_sets: Iterable[Iterable[Cell]], grading: str = "zn") -> LaurentPoly:
+    """Sum over the cell sets of their weight products: over the facet
+    complements of a Stanley-Reisner complex, the multidegree of its
+    quotient; over the crosses of RP(w), the BJS formula for S_w."""
     terms: dict = {}
-    for f in facets:
-        poly._add(terms, weight_product(vertices.difference(f), grading).terms, 0, 1)
+    for cells in cell_sets:
+        poly._add(terms, weight_product(cells, grading).terms, 0, 1)
     return poly._bounded(terms, None)
 
 
@@ -158,7 +157,7 @@ def theorem_a_check(w: Perm) -> bool:
     multidegrees equal the Schubert polynomials, in both gradings."""
     w = perm.validate(w)
     size_guard(len(w), "theorem_a_check")
-    gens = ideal_mod.antidiagonal_ideal(w).generators  # J_w is built minimal
+    gens = ideal_mod.antidiagonal_ideal(w).generators
     # the guard above implies the families' (their caps are no smaller, and
     # SCHUBERT_MAX_N raises each to at least its value), so w goes straight
     # to their memos

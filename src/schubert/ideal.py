@@ -50,6 +50,9 @@ class SquarefreeMonomialIdeal:
     n: int
     generators: frozenset  # of frozensets of cells, inclusion-minimal
 
+    def __post_init__(self):
+        object.__setattr__(self, "generators", minimalize(self.generators))
+
 
 def grid(n: int) -> frozenset:
     """The n^2 cells of the n x n grid."""
@@ -126,10 +129,9 @@ def minimalize(
 
 @cache
 def antidiagonal_ideal(w: Perm) -> SquarefreeMonomialIdeal:
-    """J_w: antidiagonals of the Schubert determinantal minors, minimalized."""
+    """J_w: antidiagonals of the Schubert determinantal minors."""
     w = perm.validate(w)
-    gens = minimalize(m.antidiagonal() for m in schubert_generators(w))
-    return SquarefreeMonomialIdeal(len(w), gens)
+    return SquarefreeMonomialIdeal(len(w), [m.antidiagonal() for m in schubert_generators(w)])
 
 
 def monomial_in_ideal(support: frozenset, ideal: SquarefreeMonomialIdeal) -> bool:
@@ -167,9 +169,6 @@ def stanley_reisner_facets(ideal: SquarefreeMonomialIdeal) -> frozenset:
 def facet_complement_dreams(w: Perm) -> frozenset:
     """{D_L : L facet of the complex of J_w} as pipe dreams."""
     w = perm.validate(w)
-    n = len(w)
-    vertices = grid(n)
-    return frozenset(
-        pipedream.PipeDream(n, vertices - f)
-        for f in stanley_reisner_facets(antidiagonal_ideal(w))
-    )
+    facets = stanley_reisner_facets(antidiagonal_ideal(w))
+    vertices = grid(len(w))
+    return frozenset(pipedream.PipeDream(len(w), vertices - f) for f in facets)

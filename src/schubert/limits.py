@@ -64,7 +64,7 @@ CAPS: dict[str, int] = {
 # built from, and --render prints the n x n grid (11.2 s and 128 MB at n = 8000)
 CAPS["mitosis"] = CAPS["rp_mitosis"]
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class SizeGuardError(ValueError):
@@ -86,7 +86,7 @@ def size_guard(n: int, operation: str, cap: int | None = None) -> None:
     cap = CAPS[operation] if cap is None else max(cap, CAPS[operation])
     env = os.environ.get(ENV_VAR)
     if env is not None:
-        if not _INTEGER.fullmatch(env):
+        if not INTEGER.fullmatch(env):
             raise SizeGuardError(f"{ENV_VAR}={env!r} is not an integer")
         cap = max(cap, int(env))
     if n > cap:

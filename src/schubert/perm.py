@@ -16,9 +16,10 @@ Perm = tuple[int, ...]
 
 
 def validate(w: Sequence[int]) -> Perm:
-    """Return ``w`` as a tuple after checking it is a bijection of {1..n}."""
+    """Return ``w`` as a tuple after checking it is a bijection of {1..n}
+    whose entries are ints (not floats, nor bools)."""
     t = tuple(w)
-    if sorted(t) != list(range(1, len(t) + 1)):
+    if not all(type(v) is int for v in t) or sorted(t) != list(range(1, len(t) + 1)):
         raise ValueError(f"not a permutation of 1..{len(t)}: {t!r}")
     return t
 
@@ -30,10 +31,7 @@ def parse(text: str) -> Perm:
     """
     text = text.strip()
     if text.startswith("["):
-        values = json.loads(text)  # JSONDecodeError is a ValueError
-        if not all(type(v) is int for v in values):
-            raise ValueError(f"non-integer entry in {text!r}")
-        return validate(values)
+        return validate(json.loads(text))  # JSONDecodeError is a ValueError
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"malformed permutation: {text!r}")
     return validate(int(ch) for ch in text)

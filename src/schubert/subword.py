@@ -22,7 +22,7 @@ of them measures a length inside its loop.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from . import ideal as ideal_mod
@@ -231,14 +231,7 @@ def is_shelling(order: Sequence[frozenset], facets: Iterable[frozenset]) -> bool
 
 
 def decomposition_to_jsonable(tree) -> object:
-    if tree in (VOID_LEAF, EMPTY_LEAF):
-        return tree
-    return {
-        "vertex": tree.vertex,
-        "cone": tree.cone,
-        "link": decomposition_to_jsonable(tree.link),
-        "deletion": None if tree.cone else decomposition_to_jsonable(tree.deletion),
-    }
+    return tree if isinstance(tree, str) else asdict(tree)
 
 
 def square_word(n: int) -> tuple[int, ...]:

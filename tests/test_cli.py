@@ -141,6 +141,29 @@ def test_gb_verify_all_s4(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
+def test_gb_verify_json_keys(capsys):
+    code, out, _ = run(capsys, "gb-verify", "2143", "--json")
+    assert code == 0
+    [result] = json.loads(out)
+    assert set(result) == {"permutation", "order", "pass", "generators", "seconds"}
+    assert result["permutation"] == [2, 1, 4, 3]
+    assert (result["order"], result["pass"], result["generators"]) == ("antidiag-revlex", True, 2)
+    assert isinstance(result["seconds"], float)
+
+
+def test_gb_verify_guards_before_building_the_order(capsys, monkeypatch):
+    # the order of S80 evaluates its key on 6,400 unit vectors of length
+    # 6,400: 5.3 s before verify_theorem_b's guard tripped, when built first
+    def no_order(self):
+        raise AssertionError(f"term order of n={self.n} built before the guard")
+
+    monkeypatch.setattr(grobner.TermOrder, "__post_init__", no_order)
+    identity = json.dumps(list(range(1, 81)))
+    code, out, err = run(capsys, "gb-verify", identity)
+    assert (code, out) == (2, "")
+    assert err == "error: verify_theorem_b: n=80 exceeds cap 5 (set SCHUBERT_MAX_N to override)\n"
+
+
 def test_gb_verify_permutation_and_all_s4_is_usage_error(capsys):
     code, out, err = run(capsys, "gb-verify", "21", "--all-s4")
     assert (code, out) == (2, "")
@@ -382,6 +405,20 @@ def test_check_all_n_below_1_is_usage_error(capsys, n):
     code, out, err = run(capsys, "check-all", "--n", n)
     assert (code, out) == (2, "")
     assert err == f"error: --n {n} is not a positive integer\n"
+
+
+@pytest.mark.parametrize("n", ["\u0663", "0_3", "3.0", "abc", ""])
+def test_check_all_n_not_an_ascii_integer_is_usage_error(capsys, n):
+    code, out, err = run(capsys, "check-all", "--n", n)
+    assert (code, out) == (2, "")
+    assert err == f"error: --n {n!r} is not an integer\n"
+
+
+@pytest.mark.parametrize("row", ["\u0661", "1_0", "1.0", "x"])
+def test_mitosis_row_not_an_ascii_integer_is_usage_error(capsys, row):
+    code, out, err = run(capsys, "mitosis", "--row", row, "--dream", DREAM4)
+    assert (code, out) == (2, "")
+    assert err == f"error: --row {row!r} is not an integer\n"
 
 
 @pytest.mark.parametrize("word", ["a,b", "3,x", "3,0,3", "3,-1", "2.5", "\u0661,\u0662"])

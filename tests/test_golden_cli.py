@@ -4,7 +4,9 @@ four gradings, all of S5 in zn2 and z2n); rp and ideal --json over S1-S5, the
 two subword decompositions and check-all --n 3 print what they printed before
 the second copies of the grid, the facet complement, the mutation chain and
 the tree walk left the package; the schubert and grothendieck verbs print what
-they printed before the family tops became staircase folds."""
+they printed before the family tops became staircase folds; the text forms
+of rp, ideal and subword and check-all --n 3 --json print what they printed
+before the BJS and additive sums became one call of multidegree_additive."""
 
 import contextlib
 import hashlib
@@ -74,3 +76,28 @@ def test_family_verbs_match_golden_digests(verb):
         checked += 1
     assert checked == 2 * (1 + 2 + 6 + 24) + 120
     assert differ == []
+
+
+@pytest.mark.parametrize("verb", ["rp", "ideal"])
+def test_text_over_s1_to_s4_matches_golden_digests(verb):
+    checked, differ = 0, []
+    for w, expected in cases(f"{verb}-text"):
+        if digest([verb, w]) != expected:
+            differ.append(w)
+        checked += 1
+    assert checked == 1 + 2 + 6 + 24
+    assert differ == []
+
+
+def test_subword_text_matches_golden_digests():
+    checked = list(cases("subword-text"))
+    assert len(checked) == 6
+    for word, p, kind, expected in checked:
+        flags = ["--decompose"] if kind == "decompose" else []
+        assert digest(["subword", "--word", word, "--perm", p] + flags) == expected, (word, kind)
+
+
+def test_check_all_json_matches_golden_digest():
+    [(n, expected)] = cases("check-all-json")
+    assert n == "3"
+    assert digest(["check-all", "--n", n, "--json"]) == expected

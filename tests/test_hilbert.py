@@ -9,7 +9,7 @@ from reference_kernel import (
     ref_of,
     ref_one_minus_substitute,
 )
-from schubert import checks, hilbert, ideal, perm, poly
+from schubert import checks, hilbert, ideal, perm, pipedream, poly
 from schubert.ideal import SquarefreeMonomialIdeal
 from schubert.limits import InvariantError
 from schubert.poly import LaurentPoly, ONE, TVAR, xvar, yvar, zvar
@@ -174,7 +174,16 @@ def test_random_ideals_match_the_definition():
 
 def test_multidegree_additive_2143():
     facets = ideal.stanley_reisner_facets(ideal.antidiagonal_ideal((2, 1, 4, 3)))
-    assert hilbert.multidegree_additive(facets, 4, "zn") == poly.schubert((2, 1, 4, 3))
+    complements = (ideal.grid(4) - f for f in facets)
+    assert hilbert.multidegree_additive(complements, "zn") == poly.schubert((2, 1, 4, 3))
+
+
+def test_multidegree_additive_over_rp_is_bjs_s4():
+    # the sum over the crosses of RP(w) is the BJS formula, single and double
+    for w in perm.all_perms(4):
+        crosses = [d.crosses for d in pipedream.rp_mitosis(w)]
+        assert hilbert.multidegree_additive(crosses, "zn") == poly.schubert(w), w
+        assert hilbert.multidegree_additive(crosses, "z2n") == poly.double_schubert(w), w
 
 
 def test_multidegree_additive_s3_linear_cases():
@@ -188,7 +197,8 @@ def test_multidegree_additive_s3_linear_cases():
     }
     for w, expected in cases.items():
         facets = ideal.stanley_reisner_facets(ideal.antidiagonal_ideal(w))
-        assert hilbert.multidegree_additive(facets, 3, "z2n") == expected
+        complements = (ideal.grid(3) - f for f in facets)
+        assert hilbert.multidegree_additive(complements, "z2n") == expected
         assert poly.double_schubert(w) == expected
 
 
@@ -216,10 +226,10 @@ def test_theorem_a_w0_koszul():
 def test_additive_equals_recursive_multidegree_s4():
     for w in perm.all_perms(4):
         jw = ideal.antidiagonal_ideal(w)
-        facets = ideal.stanley_reisner_facets(jw)
+        complements = [ideal.grid(4) - f for f in ideal.stanley_reisner_facets(jw)]
         for grading in ("zn", "z2n"):
             assert hilbert.multidegree_additive(
-                facets, 4, grading
+                complements, grading
             ) == hilbert.multidegree_of_ideal(jw, grading)
 
 

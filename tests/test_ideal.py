@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from reference_kernel import ref_schubert_generators
 from schubert import checks, ideal, perm, pipedream
 from schubert.ideal import Minor
+from schubert.limits import SizeGuardError
 
 
 def cells(*pairs):
@@ -227,3 +228,29 @@ def test_facets_guard():
     big = ideal.SquarefreeMonomialIdeal(7, frozenset([cells((1, 1))]))
     with pytest.raises(ValueError):
         ideal.stanley_reisner_facets(big)
+
+
+def test_ideal_keeps_only_its_minimal_generators():
+    # z11 divides z11*z22 and z11*z12*z21; z12*z21 divides the last
+    gens = frozenset(
+        [cells((1, 1)), cells((1, 1), (2, 2)), cells((1, 2), (2, 1)), cells((1, 1), (1, 2), (2, 1))]
+    )
+    j = ideal.SquarefreeMonomialIdeal(2, gens)
+    assert j.generators == frozenset([cells((1, 1)), cells((1, 2), (2, 1))])
+    rng = random.Random(25)
+    grid = sorted(ideal.grid(3))
+    for _ in range(200):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(0, 8))]
+        gens = frozenset(frozenset(rng.sample(grid, k)) for k in sizes)
+        brute = frozenset(g for g in gens if not any(h < g for h in gens))
+        assert ideal.SquarefreeMonomialIdeal(3, gens).generators == ideal.minimalize(gens) == brute
+
+
+def test_facet_complement_dreams_guards_before_the_grid(monkeypatch):
+    # building the grid first, S1500 took 1.4 s and 218 MB to reach the guard
+    def no_grid(n):
+        raise AssertionError(f"grid({n}) built before the guard")
+
+    monkeypatch.setattr(ideal, "grid", no_grid)
+    with pytest.raises(SizeGuardError):
+        ideal.facet_complement_dreams(perm.identity(1500))

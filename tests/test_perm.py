@@ -1,7 +1,8 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_kernel import permutation_from_rank_matrix, ref_rank_matrix
-from schubert import perm
+from schubert import perm, poly
 
 
 def brute_length(w):
@@ -28,6 +29,15 @@ def test_validate_rejects_non_permutations():
         except ValueError:
             continue
         raise AssertionError(f"{bad} accepted")
+
+
+def test_validate_rejects_entries_that_are_not_ints():
+    # schubert((2.0, 1.0)) printed x1, and the bool True passed as 1
+    for bad in [(2.0, 1.0), (True, 2), (1, "a"), ([1],)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            perm.validate(bad)
+    with pytest.raises(ValueError):
+        poly.schubert((2.0, 1.0))
 
 
 def test_parse_forms():
