@@ -392,13 +392,13 @@ def mitosis_correspondence_13865742() -> tuple[bool, str]:
 # -- criterion 10: stability ------------------------------------------------------
 
 
-def stability(n: int = 3, big: int = 5) -> tuple[bool, str]:
-    for w in perm.all_perms(n):
-        if poly.schubert(perm.embed(w, big)) != poly.schubert(w):
+def stability() -> tuple[bool, str]:
+    for w in perm.all_perms(3):
+        if poly.schubert(perm.embed(w, 5)) != poly.schubert(w):
             return False, f"schubert stability fails at {w}"
-        if poly.grothendieck(perm.embed(w, big)) != poly.grothendieck(w):
+        if poly.grothendieck(perm.embed(w, 5)) != poly.grothendieck(w):
             return False, f"grothendieck stability fails at {w}"
-    return True, f"S{n} inside S{big}"
+    return True, "S3 inside S5"
 
 
 # -- driver -------------------------------------------------------------------------

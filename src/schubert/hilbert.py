@@ -157,10 +157,10 @@ def theorem_a_check(w: Perm) -> bool:
     multidegrees equal the Schubert polynomials, in both gradings."""
     w = perm.validate(w)
     size_guard(len(w), "theorem_a_check")
-    gens = ideal_mod.antidiagonal_ideal(w).generators
+    gens = ideal_mod._antidiagonal_ideal(w).generators
     # the guard above implies the families' (their caps are no smaller, and
     # SCHUBERT_MAX_N raises each to at least its value), so w goes straight
-    # to their memos
+    # to their memos, as it goes to J_w's
     for grading, groth, schub in (
         ("zn", poly._grothendieck, poly._schubert),
         ("z2n", poly._double_grothendieck, poly._double_schubert),

@@ -48,9 +48,13 @@ class Minor:
 @dataclass(frozen=True)
 class SquarefreeMonomialIdeal:
     n: int
-    generators: frozenset  # of frozensets of cells, inclusion-minimal
+    generators: frozenset  # of nonempty frozensets of grid cells, inclusion-minimal
 
     def __post_init__(self):
+        for g in self.generators:
+            pairs = [c for c in g if type(c) is tuple and [*map(type, c)] == [int, int]]
+            if not g or len(pairs) < len(g) or not all(0 < v <= self.n for c in pairs for v in c):
+                raise ValueError(f"not a nonempty set of int cells in 1..{self.n}: {set(g)}")
         object.__setattr__(self, "generators", minimalize(self.generators))
 
 
@@ -127,10 +131,13 @@ def minimalize(
     return frozenset(kept)
 
 
-@cache
 def antidiagonal_ideal(w: Perm) -> SquarefreeMonomialIdeal:
     """J_w: antidiagonals of the Schubert determinantal minors."""
-    w = perm.validate(w)
+    return _antidiagonal_ideal(perm.validate(w))
+
+
+@cache
+def _antidiagonal_ideal(w: Perm) -> SquarefreeMonomialIdeal:
     return SquarefreeMonomialIdeal(len(w), [m.antidiagonal() for m in schubert_generators(w)])
 
 
@@ -167,8 +174,7 @@ def stanley_reisner_facets(ideal: SquarefreeMonomialIdeal) -> frozenset:
 
 
 def facet_complement_dreams(w: Perm) -> frozenset:
-    """{D_L : L facet of the complex of J_w} as pipe dreams."""
-    w = perm.validate(w)
-    facets = stanley_reisner_facets(antidiagonal_ideal(w))
-    vertices = grid(len(w))
-    return frozenset(pipedream.PipeDream(len(w), vertices - f) for f in facets)
+    """{D_L : L facet of the complex of J_w}: the minimal covers of J_w."""
+    jw = antidiagonal_ideal(w)
+    size_guard(jw.n, "stanley_reisner_facets")
+    return frozenset(pipedream.PipeDream(jw.n, c) for c in minimal_covers(jw.generators))

@@ -422,3 +422,26 @@ def test_bitmask_kernel_matches_reference(drawn):
             tb = bruhatlab.intron_mutation(i, w, b)
             assert bruhatlab.start_codon(i, w, tb) == start
             assert bruhatlab.intron_mutation(i, w, tb) == b
+
+
+@pytest.mark.parametrize("bad", [(2.0, 1.0), (True, 2)])
+def test_part3_entry_points_validate_w_cold_and_warm(bad):
+    # the kernels behind these read memos keyed on the raw w, where (2.0, 1.0)
+    # hashes like (2, 1) and (True, 2) like (1, 2); the entry points check w
+    zero = ExponentArray.zero(2)
+    entries = (
+        lambda w: bruhatlab.lifted_demazure(1, w, zero),
+        lambda w: bruhatlab.standard_arrays(w, 1),
+        lambda w: bruhatlab.mitosis_facet_bridge(w, 1),
+    )
+    for memo in (bruhatlab._generator_masks, bruhatlab._start_codon, ideal._antidiagonal_ideal):
+        memo.cache_clear()
+    for _ in ("cold", "warm"):
+        for entry in entries:
+            with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: "):
+                entry(bad)
+        for w in ((2, 1), (1, 2)):
+            assert bruhatlab.standard_test(zero, w)
+            assert len(list(bruhatlab.standard_arrays(w, 1))) == 2 ** (4 - perm.length(w))
+        assert bruhatlab.lifted_demazure(1, (2, 1), zero) == [zero]
+        assert bruhatlab.mitosis_facet_bridge((2, 1), 1)

@@ -76,6 +76,8 @@ def test_mitosis_verb(capsys):
         '{"n":-3,"crosses":[]}',
         # a cross listed twice
         '{"n":2,"crosses":[[1,1],[1,1]]}',
+        # a cross outside the grid
+        '{"n":2,"crosses":[[3,1]]}',
     ],
 )
 def test_malformed_dream_is_usage_error(capsys, dream):

@@ -45,6 +45,22 @@ def test_k_polynomial_zero_ideal():
         assert hilbert.k_polynomial(j, grading) == ONE
 
 
+def test_k_polynomial_rejects_float_cells_cold_and_warm():
+    # (1.0, 2.0) == (1, 2) with equal hashes, so the K memo and the packed
+    # weights would answer for the float cell once the int cell is warm; the
+    # ideal type refuses it, so neither memo ever sees it
+    def ideal_on(cell):
+        return SquarefreeMonomialIdeal(2, frozenset([frozenset([cell])]))
+
+    hilbert._K_CACHE.clear()
+    hilbert._packed_weight.cache_clear()
+    for _ in ("cold", "warm"):
+        with pytest.raises(ValueError, match=r"^not a nonempty set of int cells in 1\.\.2: "):
+            hilbert.k_polynomial(ideal_on((1.0, 2.0)))
+        assert hilbert.k_polynomial(ideal_on((1, 2))) == ONE - LaurentPoly.variable(zvar(1, 2))
+    assert hilbert._packed_weight.cache_info().currsize == 1
+
+
 def test_k_polynomial_minimalizes_its_input():
     # z11 divides z11*z22, so the ideal is <z11>
     j = SquarefreeMonomialIdeal(

@@ -254,3 +254,48 @@ def test_facet_complement_dreams_guards_before_the_grid(monkeypatch):
     monkeypatch.setattr(ideal, "grid", no_grid)
     with pytest.raises(SizeGuardError):
         ideal.facet_complement_dreams(perm.identity(1500))
+
+
+@pytest.mark.parametrize("bad", [(2.0, 1.0), (True, 2)])
+def test_antidiagonal_ideal_validates_cold_and_warm(bad):
+    # (2.0, 1.0) == (2, 1) and (True, 2) == (1, 2) with equal hashes: a memo
+    # that validated inside returned J_21 for (2.0, 1.0) once (2, 1) was cached
+    ideal._antidiagonal_ideal.cache_clear()
+    for _ in ("cold", "warm"):
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.2"):
+            ideal.antidiagonal_ideal(bad)
+        for w in ((2, 1), (1, 2)):
+            ideal.antidiagonal_ideal(w)
+
+
+def test_antidiagonal_ideal_is_the_one_memo_in_ideal():
+    memos = [name for name, value in vars(ideal).items() if hasattr(value, "cache_clear")]
+    assert memos == ["_antidiagonal_ideal"]
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [cells((1.0, 2.0)), cells((True, 1)), cells((5, 7)), cells((1, 1), (2, 3)),
+     frozenset([(1, 1, 1)]), frozenset(["ab"]), frozenset()],
+    ids=["float", "bool", "outside", "one-outside", "triple", "string", "empty"],
+)
+def test_ideal_takes_only_nonempty_sets_of_grid_cells(generator):
+    with pytest.raises(ValueError, match=r"^not a nonempty set of int cells in 1\.\.2: "):
+        ideal.SquarefreeMonomialIdeal(2, frozenset([generator]))
+
+
+def test_facet_complement_dreams_reads_the_covers(monkeypatch):
+    # the dreams are Berge's covers as they stand: no grid, no facets, no
+    # complement taken twice
+    def unused(*args):
+        raise AssertionError("the covers are the dreams")
+
+    monkeypatch.setattr(ideal, "grid", unused)
+    monkeypatch.setattr(ideal, "stanley_reisner_facets", unused)
+    assert ideal.facet_complement_dreams((2, 1, 4, 3)) == {
+        pipedream.make(4, [(1, 1), (1, 3)]),
+        pipedream.make(4, [(1, 1), (2, 2)]),
+        pipedream.make(4, [(1, 1), (3, 1)]),
+    }
+    with pytest.raises(ValueError, match="not a permutation"):
+        ideal.facet_complement_dreams((2.0, 1.0))

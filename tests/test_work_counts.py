@@ -2,9 +2,15 @@
 work fails here.  A count may go down; update it then."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import schubert
 from schubert import bruhatlab, checks, grobner, hilbert, ideal, perm, pipedream, poly, subword
 from schubert.poly import LaurentPoly
 
@@ -94,7 +100,7 @@ def test_theorem_b_enumerates_the_minors_once_per_order(monkeypatch):
     # cold cache: one enumeration of the minors per (w, order) and no J_w,
     # since the minors' antidiagonals already give in(I_w) = J_w (building
     # J_w as well made 72 enumerations and 48 antidiagonal_ideal calls)
-    ideal.antidiagonal_ideal.cache_clear()
+    ideal._antidiagonal_ideal.cache_clear()
     minors, jws = [], []
     enumerate_minors, build_jw = ideal.schubert_generators, ideal.antidiagonal_ideal
     monkeypatch.setattr(
@@ -252,6 +258,59 @@ def test_families_step_at_the_first_ascent(monkeypatch):
         for family in families:
             family(w)
     assert len(steps) == 476 == 4 * 119
+
+
+# every functools memo of the package, warmed, then emptied the way the
+# benchmark's worker empties them before each cold pass
+MEMO_PROBE = """
+import functools, gc, json
+import schubert, schubert.cli
+from schubert import bruhatlab, grobner, hilbert, pipedream
+LAYERS = ("perm", "poly", "pipedream", "ideal", "grobner", "hilbert", "subword", "bruhatlab")
+memos = [
+    m for m in gc.get_objects()
+    if isinstance(m, functools._lru_cache_wrapper)
+    and str(getattr(m, "__module__", "")).startswith("schubert")
+]
+homes = {
+    id(v): f"{layer}.{name}"
+    for layer in LAYERS for name, v in vars(getattr(schubert, layer)).items()
+}
+w = (2, 1, 3)
+hilbert.theorem_a_check(w)
+pipedream.rp_mitosis(w)
+bruhatlab.mitosis_facet_bridge(w, 1)
+list(bruhatlab.standard_arrays(w, 1))
+grobner.verify_theorem_b(w, grobner.antidiag_revlex_nw(3))
+warm = [m.cache_info().currsize for m in memos]
+for layer in LAYERS:
+    for v in list(vars(getattr(schubert, layer)).values()):
+        if hasattr(v, "cache_clear"):
+            v.cache_clear()
+hilbert._K_CACHE.clear()
+names = [homes.get(id(m), f"{m.__module__}:{m.__qualname__}") for m in memos]
+print(json.dumps({
+    "homes": sorted(names),
+    "unhomed": [name for m, name in zip(memos, names) if id(m) not in homes],
+    "unwarmed": [name for name, n in zip(names, warm) if not n],
+    "left": [name for m, name in zip(memos, names) if m.cache_info().currsize],
+}))
+"""
+
+
+def test_no_memo_hides_from_the_benchmarks_cold_pass():
+    # a memo that a closure or a module outside the eight layers holds would
+    # survive the worker's clearing and make its cold passes warm
+    env = dict(os.environ)
+    src = str(Path(schubert.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", MEMO_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (probe.returncode, probe.stderr) == (0, "")
+    found = json.loads(probe.stdout)
+    assert "ideal._antidiagonal_ideal" in found["homes"]
+    assert (found["unhomed"], found["unwarmed"], found["left"]) == ([], [], [])
 
 
 def clear_pipedream_caches() -> None:
